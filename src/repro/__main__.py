@@ -954,8 +954,10 @@ def main(argv: list[str] | None = None) -> int:
     svd.add_argument("--loop", default="vectorized",
                      choices=("vectorized", "oracle"),
                      help="serve hot-loop implementation: the "
-                          "vectorized fast path (default) or the "
-                          "per-cycle oracle it is verified against")
+                          "vectorized fast path on the struct-of-arrays "
+                          "crossbar (default) or the per-cycle oracle "
+                          "on the per-object crossbar it is verified "
+                          "against")
     svd.add_argument("--out", default=None, metavar="PATH",
                      help="write the session report as canonical JSON")
     svd.add_argument("--telemetry-dir", default=None, metavar="DIR",

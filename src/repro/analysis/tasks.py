@@ -131,7 +131,7 @@ def alg1_mix(params: dict, seed: int) -> dict:
     from repro.core.accelerator import plan_offload
     from repro.core.control_unit import ComputeRequest, MZIMControlUnit
     from repro.core.scheduler import FlumenScheduler
-    from repro.noc.flumen_net import FlumenNetwork
+    from repro.noc.simulation import make_network
     from repro.noc.traffic import TrafficGenerator
 
     overrides = {k: params[k] for k in ("tau_cycles", "eta", "zeta")
@@ -146,7 +146,7 @@ def alg1_mix(params: dict, seed: int) -> dict:
     traffic_seed = int(params.get("traffic_seed", seed))
 
     job = plan_offload(8, 8, 256, 8, 8)
-    net = FlumenNetwork(16)
+    net = make_network("flumen", 16)
     control = MZIMControlUnit(net, system)
     scheduler = FlumenScheduler(control, system)
     traffic = TrafficGenerator(16, "uniform", load, seed=traffic_seed)
@@ -177,37 +177,41 @@ def alg1_mix(params: dict, seed: int) -> dict:
     }
 
 
+#: Constructor knobs ``noc_latency`` forwards, per optical topology;
+#: every other name is an electrical router network whose knobs
+#: (``num_vcs``, ``buffer_depth``) are integer counts.
+_NOC_KNOBS = {
+    "flumen": ("reconfig_cycles", "arbitration", "pipelined_setup"),
+    "optbus": (),
+}
+
+
 @register_task("noc_latency")
 def noc_latency(params: dict, seed: int) -> dict:
     """One synthetic-traffic network run; latency/throughput metrics.
 
-    Params: ``topology`` (any :func:`make_topology` name, or "optbus" /
-    "flumen"), ``pattern``, ``load``, ``nodes``, ``cycles``, ``warmup``,
-    ``packet_size``, ``traffic_seed``, plus topology kwargs ``num_vcs``,
+    Params: ``topology`` (any registered backend name), ``pattern``,
+    ``load``, ``nodes``, ``cycles``, ``warmup``, ``packet_size``,
+    ``traffic_seed``, plus topology kwargs ``num_vcs``,
     ``buffer_depth`` (electrical) and ``reconfig_cycles``,
-    ``arbitration``, ``pipelined_setup`` (Flumen).
+    ``arbitration``, ``pipelined_setup`` (Flumen).  The network comes
+    from :func:`~repro.noc.simulation.make_network`: the struct-of-arrays
+    twin for the paper topologies, the per-object backend for the
+    oracle-only ``mesh_wf``.
     """
-    from repro.noc.flumen_net import FlumenNetwork
-    from repro.noc.network import Network
-    from repro.noc.optbus import OptBusNetwork
-    from repro.noc.topology import make_topology
+    from repro.noc.simulation import make_network
     from repro.noc.traffic import TrafficGenerator
 
     topology = params.get("topology", "mesh")
     nodes = int(params.get("nodes", 16))
     cycles = int(params.get("cycles", 2000))
     warmup = int(params.get("warmup", 600))
-    if topology == "flumen":
-        kwargs = {k: params[k] for k in
-                  ("reconfig_cycles", "arbitration", "pipelined_setup")
-                  if k in params}
-        net = FlumenNetwork(nodes, **kwargs)
-    elif topology == "optbus":
-        net = OptBusNetwork(nodes)
+    if topology in _NOC_KNOBS:
+        kwargs = {k: params[k] for k in _NOC_KNOBS[topology] if k in params}
     else:
         kwargs = {k: int(params[k]) for k in ("num_vcs", "buffer_depth")
                   if k in params}
-        net = Network(make_topology(topology, nodes), **kwargs)
+    net = make_network(topology, nodes, **kwargs)
     traffic = TrafficGenerator(
         nodes, params.get("pattern", "uniform"),
         float(params.get("load", 0.1)),

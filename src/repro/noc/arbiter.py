@@ -89,6 +89,7 @@ class WavefrontArbiter:
         if req.shape != (self.n, self.n):
             raise ValueError(f"expected {(self.n, self.n)} matrix, "
                              f"got {req.shape}")
+        cells = req.tolist()  # list indexing beats ndarray scalars
         row_free = [True] * self.n
         col_free = [True] * self.n
         grants: list[tuple[int, int]] = []
@@ -96,7 +97,7 @@ class WavefrontArbiter:
             diag = (self._priority + wave) % self.n
             for i in range(self.n):
                 j = (diag - i) % self.n
-                if req[i, j] and row_free[i] and col_free[j]:
+                if cells[i][j] and row_free[i] and col_free[j]:
                     grants.append((i, j))
                     row_free[i] = False
                     col_free[j] = False

@@ -23,6 +23,14 @@ delivering — no traffic is lost to a rerouted fault.
 Injection, the run/drain loop, latency sampling, and result assembly come
 from :class:`~repro.noc.kernel.SimKernel`; this module is the crossbar
 arbitration and circuit lifecycle only.
+
+:class:`FlumenNetwork` is the plain **oracle**: every cycle it scans every
+port, builds the dense request matrix, and calls
+:meth:`WavefrontArbiter.allocate`.  Production traffic runs on the
+registry's default, the struct-of-arrays twin
+:class:`~repro.noc.soa.SoAFlumenNetwork`; the oracle
+(``make_network("flumen", vectorized=False)``) serves the equivalence
+tests and the serve daemon's ``--loop oracle`` slot.
 """
 
 from __future__ import annotations
@@ -49,8 +57,15 @@ class _Circuit:
     grant_cycle: int = 0
 
 
-class FlumenNetwork(SimKernel):
-    """MZIM crossbar with wavefront arbitration and port blocking."""
+class CrossbarBase(SimKernel):
+    """Control-unit state and scheduler hooks of the MZIM crossbar.
+
+    :class:`FlumenNetwork` (the oracle) and
+    :class:`~repro.noc.soa.SoAFlumenNetwork` (its twin) differ only in
+    how they store and arbitrate circuits; the configuration, request
+    buffers, port blocking, detours and buffer feedback live here once.
+    Subclasses implement :meth:`ports_clear` and the kernel hooks.
+    """
 
     name = "flumen"
 
@@ -85,13 +100,7 @@ class FlumenNetwork(SimKernel):
             deque() for _ in range(nodes)]
         #: Overflow queues at the endpoints (buffers are finite).
         self._overflow: list[deque[Packet]] = [deque() for _ in range(nodes)]
-        #: Sources with anything buffered (request buffer or overflow);
-        #: the per-cycle scans only visit these.
-        self._waiting_sources: set[int] = set()
         self._arbiter = WavefrontArbiter(nodes)
-        self._circuits: dict[int, _Circuit] = {}  # keyed by source port
-        #: Pre-granted next circuits whose setup overlaps the active one.
-        self._pending: dict[int, _Circuit] = {}
         self._busy_outputs: set[int] = set()
         self.blocked_ports: set[int] = set()
         #: (src, dst) -> extra setup cycles for a programmed detour
@@ -145,15 +154,6 @@ class FlumenNetwork(SimKernel):
     def unblock_ports(self, ports: set[int]) -> None:
         self.blocked_ports -= set(ports)
 
-    def ports_clear(self, ports: set[int]) -> bool:
-        """True when no circuit is transmitting on any of the given ports."""
-        for table in (self._circuits, self._pending):
-            for src, circuit in table.items():
-                if src in ports or any(d in ports for d in
-                                       circuit.packet.destinations):
-                    return False
-        return True
-
     def buffer_occupancy(self, port: int) -> int:
         """Packets waiting at one control-unit request buffer."""
         return len(self.request_buffers[port]) + len(self._overflow[port])
@@ -187,23 +187,36 @@ class FlumenNetwork(SimKernel):
         else:
             self._overflow[packet.src].append(packet)
             self._m_overflow.inc()
-        self._waiting_sources.add(packet.src)
 
-    def _drained(self, src: int) -> None:
-        """Drop ``src`` from the waiting set once nothing is buffered."""
-        if not self.request_buffers[src] and not self._overflow[src]:
-            self._waiting_sources.discard(src)
+
+class FlumenNetwork(CrossbarBase):
+    """MZIM crossbar with wavefront arbitration and port blocking."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._circuits: dict[int, _Circuit] = {}  # keyed by source port
+        #: Pre-granted next circuits whose setup overlaps the active one.
+        self._pending: dict[int, _Circuit] = {}
+
+    def ports_clear(self, ports: set[int]) -> bool:
+        """True when no circuit is transmitting on any of the given ports."""
+        for table in (self._circuits, self._pending):
+            for src, circuit in table.items():
+                if src in ports or any(d in ports for d in
+                                       circuit.packet.destinations):
+                    return False
+        return True
+
+    # -- simulation ----------------------------------------------------------
 
     def _refill_buffers(self) -> None:
-        for port in self._waiting_sources:
+        for port in range(self.nodes):
             over = self._overflow[port]
             if not over:
                 continue
             buf = self.request_buffers[port]
             while over and len(buf) < self.request_buffer_capacity:
                 buf.append(over.popleft())
-
-    # -- simulation ----------------------------------------------------------
 
     def _eligible_source(self, src: int) -> bool:
         """May ``src`` receive a (possibly pipelined) grant this cycle?"""
@@ -219,8 +232,7 @@ class FlumenNetwork(SimKernel):
     def step(self) -> None:
         busy = self._advance_circuits()
         self._grant_multicasts()
-        requests = self._unicast_requests()
-        self._grant_unicasts(requests)
+        self._grant_unicasts(self._unicast_requests())
         self._refill_buffers()
         self.utilization.record_cycle(busy)
         if self._tracer.enabled and self.cycle \
@@ -267,7 +279,7 @@ class FlumenNetwork(SimKernel):
         A multicast head needs its source idle and every destination
         output free; it is granted outside the unicast matching.
         """
-        for src in sorted(self._waiting_sources):
+        for src in range(self.nodes):
             buf = self.request_buffers[src]
             if not buf or not buf[0].multicast_dsts:
                 continue
@@ -279,7 +291,6 @@ class FlumenNetwork(SimKernel):
                    for d in dsts):
                 continue
             packet = buf.popleft()
-            self._drained(src)
             self._circuits[src] = _Circuit(
                 packet=packet, setup_left=self.reconfig_cycles,
                 remaining_flits=packet.size_flits,
@@ -288,14 +299,14 @@ class FlumenNetwork(SimKernel):
             self.reconfigurations += 1
             self._m_reconfig.inc()
 
-    def _unicast_requests(self) -> list[tuple[int, int]]:
-        """Sparse ``(src, dst)`` requests from head-of-buffer packets.
+    def _unicast_requests(self) -> np.ndarray:
+        """Dense request matrix from head-of-buffer unicast packets.
 
-        Each source contributes at most one pair (its head-of-buffer
-        packet); an empty list is the idle fast path.
+        Each source requests at most one output (its head-of-buffer
+        packet), so every row holds at most one set cell.
         """
-        requests: list[tuple[int, int]] = []
-        for src in sorted(self._waiting_sources):
+        requests = np.zeros((self.nodes, self.nodes), dtype=bool)
+        for src in range(self.nodes):
             buf = self.request_buffers[src]
             if not buf or buf[0].multicast_dsts \
                     or not self._eligible_source(src):
@@ -309,31 +320,22 @@ class FlumenNetwork(SimKernel):
                     continue
             if any(p.packet.dst == dst for p in self._pending.values()):
                 continue
-            requests.append((src, dst))
+            requests[src, dst] = True
         return requests
 
-    def _grant_unicasts(self, requests: list[tuple[int, int]]) -> None:
-        """Allocate the sparse request list; winners set up circuits."""
-        if not requests:
-            # Idle fast path.  allocate() rotates the wavefront priority
-            # on every call, empty matrix or not, so the skip must too —
-            # otherwise later grants diverge from the full scan.
-            if self.arbitration == "wavefront":
-                self._arbiter.rotate()
-            return
+    def _grant_unicasts(self, requests: np.ndarray) -> None:
+        """Allocate the request matrix; winners set up circuits."""
         if self.arbitration == "wavefront":
-            grants = self._arbiter.allocate_sparse(requests)
+            grants = self._arbiter.allocate(requests)
         else:  # sequential: one grant per cycle, rotating priority
             grants = []
-            by_src = dict(requests)
             for offset in range(self.nodes):
                 src = (self._sequential_rr + offset) % self.nodes
-                dst = by_src.get(src)
-                if dst is not None:
-                    grants = [(src, dst)]
+                if requests[src].any():
+                    grants = [(src, int(requests[src].argmax()))]
                     self._sequential_rr = (src + 1) % self.nodes
                     break
-        conflicts = len(requests) - len(grants)
+        conflicts = int(requests.sum()) - len(grants)
         if conflicts > 0:
             # Requesting sources the allocator could not serve this cycle
             # (output taken or lost the matching) — contention pressure.
@@ -341,7 +343,6 @@ class FlumenNetwork(SimKernel):
             self._m_conflicts.inc(conflicts)
         for src, dst in grants:
             packet = self.request_buffers[src].popleft()
-            self._drained(src)
             assert packet.dst == dst
             circuit = _Circuit(packet=packet,
                                setup_left=self._setup_cycles(src, dst),
@@ -357,89 +358,6 @@ class FlumenNetwork(SimKernel):
             else:
                 self._circuits[src] = circuit
                 self._busy_outputs.add(dst)
-
-    def skip_idle_cycles(self, cycles: int) -> None:
-        """Advance ``cycles`` quiescent cycles without stepping each one.
-
-        Only legal while :meth:`quiescent` holds and the tracer is off:
-        an idle :meth:`step` then touches exactly three pieces of state
-        — the wavefront priority diagonal (rotated every cycle, busy or
-        not), the utilization intervals (all-idle), and the cycle
-        counter — so applying those in bulk is byte-equivalent to
-        ``cycles`` empty steps.  The serve daemon's vectorized loop
-        uses this to fast-forward between known-future events.
-        """
-        if cycles <= 0:
-            return
-        if not self.quiescent():
-            raise RuntimeError("skip_idle_cycles on a non-quiescent "
-                               "network would drop in-flight work")
-        if self.arbitration == "wavefront":
-            self._arbiter.rotate(cycles)
-        self.utilization.record_idle_cycles(cycles)
-        self.cycle += cycles
-
-    def quiet_countdown(self) -> int | None:
-        """Cycles until the earliest in-flight delivery.
-
-        ``None`` means the network is fully quiescent; ``0`` means it is
-        *not* quiet — buffered packets could earn grants, so per-cycle
-        arbitration must run.  A positive ``r`` means nothing but
-        circuit setup/transfer countdown happens for the next ``r - 1``
-        cycles: :meth:`skip_quiet_cycles` may bulk-apply any strict
-        prefix of them (the ``r``-th cycle delivers a packet and must be
-        a real :meth:`step`).
-        """
-        if self._waiting_sources:
-            return 0
-        if not self._circuits:
-            return None if not self._pending else 0
-        return min(c.setup_left + c.remaining_flits
-                   for c in self._circuits.values())
-
-    def skip_quiet_cycles(self, cycles: int) -> None:
-        """Advance ``cycles`` pure-transit cycles in one bulk step.
-
-        Legal when nothing is buffered at any endpoint (no grants can
-        happen), no delivery falls inside the window
-        (``cycles < quiet_countdown()``), and the tracer is off.  Each
-        such :meth:`step` only counts setups down, transfers flits on
-        already-set-up circuits, rotates the wavefront priority, and
-        records utilization — all of which this bulk-applies with
-        byte-identical accounting (busy-link counts change only when a
-        setup elapses, so utilization is replayed segment by segment).
-        """
-        if cycles <= 0:
-            return
-        if self._waiting_sources:
-            raise RuntimeError("skip_quiet_cycles with buffered packets "
-                               "would skip arbitration")
-        circuits = self._circuits.values()
-        if any(c.setup_left + c.remaining_flits <= cycles
-               for c in circuits):
-            raise RuntimeError("skip_quiet_cycles across a delivery "
-                               "would drop in-flight work")
-        # Busy-link counts are constant between setup expiries; replay
-        # the utilization timeline one constant segment at a time.
-        points = sorted({c.setup_left for c in circuits
-                         if 0 < c.setup_left < cycles})
-        prev = 0
-        for point in points + [cycles]:
-            busy = sum(1 for c in circuits if c.setup_left <= prev)
-            self.utilization.record_cycles(busy, point - prev)
-            prev = point
-        for circuit in circuits:
-            elapsed_setup = min(circuit.setup_left, cycles)
-            circuit.setup_left -= elapsed_setup
-            transferred = cycles - elapsed_setup
-            circuit.remaining_flits -= transferred
-            self.flit_hops += transferred
-            self.link_traversals += transferred
-        for circuit in self._pending.values():
-            circuit.setup_left = max(0, circuit.setup_left - cycles)
-        if self.arbitration == "wavefront":
-            self._arbiter.rotate(cycles)
-        self.cycle += cycles
 
     def quiescent(self) -> bool:
         return (not self._circuits and not self._pending

@@ -82,11 +82,12 @@ class SimKernel:
     def set_tenant(self, tenant: str) -> None:
         """Scope subsequent traffic accounting to one tenant.
 
-        The serve daemon runs one kernel per tenant request stream; the
-        tenant label lands on the injection/delivery counters and the
-        latency histogram so per-tenant series accumulate side by side.
-        Uninstrumented kernels pay nothing (the rebind hands back the
-        shared null instrument).
+        The tenant label lands on the injection/delivery counters and
+        the latency histogram, so kernels scoped to different tenants
+        accumulate per-tenant series side by side.  (The serve daemon
+        shares one kernel across its tenants and attributes deliveries
+        through :attr:`on_deliver` instead.)  Uninstrumented kernels pay
+        nothing (the rebind hands back the shared null instrument).
         """
         self.tenant = str(tenant)
         self._bind_accounting()
@@ -140,6 +141,11 @@ class SimKernel:
 
     # -- measurement -----------------------------------------------------
 
+    #: Optional ``(packet, delivered_cycle)`` callback fired after every
+    #: delivery; the serve daemon attributes comm completions to tenants
+    #: through it (the kernel's own latency stats are aggregate).
+    on_deliver = None
+
     def _deliver(self, packet: Packet, delivered_cycle: int,
                  track: str, **trace_args: object) -> None:
         """Sample one completed packet: latency, metrics, lifecycle span."""
@@ -153,6 +159,8 @@ class SimKernel:
                 packet.create_cycle, delivered_cycle,
                 src=packet.src, dst=packet.dst,
                 flits=packet.size_flits, **trace_args)
+        if self.on_deliver is not None:
+            self.on_deliver(packet, delivered_cycle)
 
     # -- simulation loop -------------------------------------------------
 

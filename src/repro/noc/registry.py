@@ -12,11 +12,15 @@ implementation (the bit-identity *oracle*) and a struct-of-arrays
 one exists — callers are none the wiser — while
 ``backend_factory(name, vectorized=False)`` always reaches the oracle,
 which is how the equivalence suite pins the two implementations
-against each other.
+against each other.  Production code builds every backend through
+here, so it runs the twin; only tests and the serve daemon's
+``--loop oracle`` slot ask for the oracle.
 
-The four paper topologies register themselves below with lazy imports
+The four paper topologies register both slots below with lazy imports
 (the factories import their backend module on first use), keeping this
-module import-cycle-free and cheap to load.
+module import-cycle-free and cheap to load.  ``mesh_wf`` is oracle-only:
+its west-first route draws a random productive port on every hop, which
+the twin's precomputed route table cannot replay.
 """
 
 from __future__ import annotations
@@ -169,3 +173,12 @@ def _make_flumen(nodes: int = 16, **kwargs):
 def _make_flumen_soa(nodes: int = 16, **kwargs):
     from repro.noc.soa import SoAFlumenNetwork
     return SoAFlumenNetwork(nodes, **kwargs)
+
+
+# -- oracle-only topologies ---------------------------------------------------
+
+@register_backend("mesh_wf")
+def _make_mesh_wf(nodes: int = 16, **kwargs):
+    from repro.noc.network import Network
+    from repro.noc.topology import make_topology
+    return Network(make_topology("mesh_wf", nodes), **kwargs)

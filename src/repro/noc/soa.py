@@ -24,7 +24,8 @@ oracle's delivered packets, per-flit latency samples, counters, cycle
 counts, and trace event order *exactly*.  ``tests/test_soa_kernel.py``
 pins that equivalence property over random traffic; the registry serves
 the SoA twin by default and the oracle on request
-(``backend_factory(name, vectorized=False)``).
+(``backend_factory(name, vectorized=False)``).  Production code builds
+through the registry, so these twins carry its traffic.
 
 On top of the flat layout, the SoA backends opt into the kernel's idle
 fast-forward (``SimKernel.run``): when the network is quiescent and the
@@ -33,7 +34,11 @@ loop jumps straight there instead of stepping empty cycles one by one.
 Each backend's ``_skip_idle`` advances exactly the state an idle step
 would have touched — the cycle counter, the utilization intervals, and
 (for Flumen) the wavefront priority diagonal, which the oracle rotates
-on every cycle, busy or not.
+on every cycle, busy or not.  The Flumen twin generalises this to
+*quiet* windows — circuits in flight but nothing buffered — with
+``quiet_countdown`` / ``skip_quiet_cycles``, which the serve daemon's
+fast slot drives directly; its ``_skip_idle`` is the circuit-free case
+of the same call.
 
 Ordering contracts the SoA step preserves (DESIGN.md §14):
 
@@ -56,8 +61,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.noc.arbiter import WavefrontArbiter
-from repro.noc.flumen_net import DEFAULT_RECONFIG_CYCLES
+from repro.noc.flumen_net import CrossbarBase
 from repro.noc.kernel import SimKernel
 from repro.noc.packet import Flit, Packet
 from repro.noc.topology import LOCAL_PORT, Topology
@@ -469,105 +473,47 @@ class SoANetwork(SimKernel):
                 + self._total_buffered + self._in_flight_count)
 
 
-class SoAFlumenNetwork(SimKernel):
+class SoAFlumenNetwork(CrossbarBase):
     """MZIM crossbar with circuit state in flat arrays + sparse wavefront.
 
     Semantically identical to
     :class:`~repro.noc.flumen_net.FlumenNetwork`, including the
-    scheduler hooks (port blocking, reroutes, buffer feedback) and the
+    scheduler hooks (port blocking, reroutes, buffer feedback, shared
+    through :class:`~repro.noc.flumen_net.CrossbarBase`) and the
     delivery/trace ordering (circuit-table insertion order, tracked by
-    an explicit activation-order list).
+    an explicit activation-order list).  Unlike the oracle's full port
+    scan and dense request matrix, it visits only sources with buffered
+    packets, arbitrates the sparse ``(src, dst)`` list
+    (:meth:`~repro.noc.arbiter.WavefrontArbiter.allocate_sparse`), and
+    bulk-advances quiet windows (:meth:`skip_quiet_cycles`).
     """
-
-    name = "flumen"
 
     _supports_idle_skip = True
 
-    def __init__(self, nodes: int,
-                 reconfig_cycles: int = DEFAULT_RECONFIG_CYCLES,
-                 propagation_delay: int = 1,
-                 request_buffer_capacity: int = 16,
-                 utilization_interval: int = 100,
-                 pipelined_setup: bool = True,
-                 arbitration: str = "wavefront",
-                 obs: Obs = NULL_OBS) -> None:
-        if nodes < 2:
-            raise ValueError("need at least two nodes")
-        if arbitration not in ("wavefront", "sequential"):
-            raise ValueError(
-                f"arbitration must be 'wavefront' or 'sequential', "
-                f"got {arbitration!r}")
-        super().__init__(name=self.name, num_links=nodes,
-                         utilization_interval=utilization_interval,
-                         obs=obs)
-        self.nodes = nodes
-        self.reconfig_cycles = reconfig_cycles
-        self.propagation_delay = propagation_delay
-        self.request_buffer_capacity = request_buffer_capacity
-        self.pipelined_setup = pipelined_setup
-        self.arbitration = arbitration
-        self._sequential_rr = 0
-        self.request_buffers: list[deque[Packet]] = [
-            deque() for _ in range(nodes)]
-        self._overflow: list[deque[Packet]] = [deque() for _ in range(nodes)]
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: Sources with anything buffered (request buffer or overflow);
+        #: the per-cycle scans only visit these.
         self._waiting_sources: set[int] = set()
-        self._arbiter = WavefrontArbiter(nodes)
         # -- SoA circuit state, indexed by source port -------------------
         #: Setup cycles left / flits left per *active* circuit.
-        self._setup_left = [0] * nodes
-        self._remaining = [0] * nodes
-        self._grant_cycle = [0] * nodes
-        self._packets: list[Packet | None] = [None] * nodes
+        self._setup_left = [0] * self.nodes
+        self._remaining = [0] * self.nodes
+        self._grant_cycle = [0] * self.nodes
+        self._packets: list[Packet | None] = [None] * self.nodes
         #: Active sources in activation order — the oracle's circuit-dict
         #: insertion order, which fixes delivery order.
         self._order: list[int] = []
         # Pending (pipelined-setup) circuits, same flat layout.
-        self._p_setup = [0] * nodes
-        self._p_remaining = [0] * nodes
-        self._p_grant_cycle = [0] * nodes
-        self._p_packets: list[Packet | None] = [None] * nodes
+        self._p_setup = [0] * self.nodes
+        self._p_remaining = [0] * self.nodes
+        self._p_grant_cycle = [0] * self.nodes
+        self._p_packets: list[Packet | None] = [None] * self.nodes
         self._pending_srcs: set[int] = set()
         #: Destinations reserved by pending circuits — replaces the
         #: oracle's any()-scan over the pending table (at most one
         #: pending circuit targets a given destination at a time).
         self._pending_dsts: set[int] = set()
-        self._busy_outputs: set[int] = set()
-        self.blocked_ports: set[int] = set()
-        self.reroute_penalties: dict[tuple[int, int], int] = {}
-        self.rerouted_grants = 0
-        self.reconfigurations = 0
-        self.arbiter_conflicts = 0
-        self._m_reconfig = obs.metrics.counter(
-            "noc.reconfigurations", topology=self.name)
-        self._m_conflicts = obs.metrics.counter(
-            "noc.arbiter_conflicts", topology=self.name)
-        self._m_overflow = obs.metrics.counter(
-            "noc.buffer_overflows", topology=self.name)
-        self._m_reroutes = obs.metrics.counter(
-            "noc.rerouted_circuits", topology=self.name)
-
-    # -- scheduler hooks -------------------------------------------------
-
-    def reroute_pair(self, src: int, dst: int,
-                     extra_setup_cycles: int) -> None:
-        """Program a detour for (src, dst) around a dead interposer path."""
-        if extra_setup_cycles < 0:
-            raise ValueError(
-                f"extra_setup_cycles must be >= 0, got {extra_setup_cycles}")
-        self.reroute_penalties[(int(src), int(dst))] = int(extra_setup_cycles)
-
-    def _setup_cycles(self, src: int, dst: int) -> int:
-        extra = self.reroute_penalties.get((src, dst), 0)
-        if extra:
-            self.rerouted_grants += 1
-            self._m_reroutes.inc()
-        return self.reconfig_cycles + extra
-
-    def block_ports(self, ports: set[int]) -> None:
-        self.blocked_ports |= set(ports)
-
-    def unblock_ports(self, ports: set[int]) -> None:
-        self.blocked_ports -= set(ports)
 
     def ports_clear(self, ports: set[int]) -> bool:
         """True when no circuit is transmitting on any of the given ports."""
@@ -581,34 +527,10 @@ class SoAFlumenNetwork(SimKernel):
                 return False
         return True
 
-    def buffer_occupancy(self, port: int) -> int:
-        """Packets waiting at one control-unit request buffer."""
-        return len(self.request_buffers[port]) + len(self._overflow[port])
-
-    def buffer_utilization(self, ports: list[int] | None = None,
-                           scan_depth: float = 1.0) -> float:
-        """Mean occupancy fraction over the most-utilized buffers."""
-        ports = list(range(self.nodes)) if ports is None else list(ports)
-        if not ports:
-            return 0.0
-        if not 0.0 < scan_depth <= 1.0:
-            raise ValueError(f"scan_depth must be in (0, 1], got {scan_depth}")
-        fracs = sorted(
-            (min(self.buffer_occupancy(p) / self.request_buffer_capacity, 1.0)
-             for p in ports),
-            reverse=True)
-        top = max(1, int(round(scan_depth * len(fracs))))
-        return float(np.mean(fracs[:top]))
-
     # -- traffic ---------------------------------------------------------
 
     def _enqueue(self, packet: Packet) -> None:
-        if len(self.request_buffers[packet.src]) \
-                < self.request_buffer_capacity:
-            self.request_buffers[packet.src].append(packet)
-        else:
-            self._overflow[packet.src].append(packet)
-            self._m_overflow.inc()
+        super()._enqueue(packet)
         self._waiting_sources.add(packet.src)
 
     def _drained(self, src: int) -> None:
@@ -652,12 +574,74 @@ class SoAFlumenNetwork(SimKernel):
         self.cycle += 1
 
     def _skip_idle(self, idle_cycles: int) -> None:
-        # An idle step still rotates the wavefront priority diagonal
-        # (the oracle's allocate() rotates on every call, requests or
-        # not); sequential arbitration moves nothing when idle.
+        # A quiescent stretch is the trivial quiet window: no circuit,
+        # so only the priority rotation, idle utilization and the clock
+        # move.
+        self.skip_quiet_cycles(idle_cycles)
+
+    def quiet_countdown(self) -> int | None:
+        """Cycles until the earliest in-flight delivery.
+
+        ``None`` means the network is fully quiescent; ``0`` means it is
+        *not* quiet — buffered packets could earn grants, so per-cycle
+        arbitration must run.  A positive ``r`` means nothing but
+        circuit setup/transfer countdown happens for the next ``r - 1``
+        cycles: :meth:`skip_quiet_cycles` may bulk-apply any strict
+        prefix of them (the ``r``-th cycle delivers a packet and must be
+        a real :meth:`step`).
+        """
+        if self._waiting_sources:
+            return 0
+        if not self._order:
+            return None if not self._pending_srcs else 0
+        return min(self._setup_left[src] + self._remaining[src]
+                   for src in self._order)
+
+    def skip_quiet_cycles(self, cycles: int) -> None:
+        """Advance ``cycles`` pure-transit cycles in one bulk step.
+
+        Legal when nothing is buffered at any endpoint (no grants can
+        happen), no delivery falls inside the window
+        (``cycles < quiet_countdown()``), and the tracer is off.  Each
+        such :meth:`step` only counts setups down, transfers flits on
+        already-set-up circuits, rotates the wavefront priority (the
+        oracle's ``allocate()`` rotates on every call, requests or not),
+        and records utilization — all of which this bulk-applies with
+        byte-identical accounting (busy-link counts change only when a
+        setup elapses, so utilization is replayed segment by segment).
+        """
+        if cycles <= 0:
+            return
+        if self._waiting_sources:
+            raise RuntimeError("skip_quiet_cycles with buffered packets "
+                               "would skip arbitration")
+        order, setup_left, remaining = \
+            self._order, self._setup_left, self._remaining
+        if any(setup_left[src] + remaining[src] <= cycles
+               for src in order):
+            raise RuntimeError("skip_quiet_cycles across a delivery "
+                               "would drop in-flight work")
+        # Busy-link counts are constant between setup expiries; replay
+        # the utilization timeline one constant segment at a time.
+        points = sorted({setup_left[src] for src in order
+                         if 0 < setup_left[src] < cycles})
+        prev = 0
+        for point in points + [cycles]:
+            busy = sum(1 for src in order if setup_left[src] <= prev)
+            self.utilization.record_cycles(busy, point - prev)
+            prev = point
+        for src in order:
+            elapsed_setup = min(setup_left[src], cycles)
+            setup_left[src] -= elapsed_setup
+            transferred = cycles - elapsed_setup
+            remaining[src] -= transferred
+            self.flit_hops += transferred
+            self.link_traversals += transferred
+        for src in self._pending_srcs:
+            self._p_setup[src] = max(0, self._p_setup[src] - cycles)
         if self.arbitration == "wavefront":
-            self._arbiter.rotate(idle_cycles)
-        self._advance_idle(idle_cycles)
+            self._arbiter.rotate(cycles)
+        self.cycle += cycles
 
     def _activate(self, src: int, packet: Packet, setup: int,
                   grant_cycle: int) -> None:
@@ -750,14 +734,12 @@ class SoAFlumenNetwork(SimKernel):
         return pairs
 
     def _grant_unicasts(self, pairs: list[tuple[int, int]]) -> None:
-        if not pairs:
-            # Idle fast path: the wavefront priority still rotates, as
-            # the oracle's allocate() does on an empty matrix.
-            if self.arbitration == "wavefront":
-                self._arbiter.rotate()
-            return
         if self.arbitration == "wavefront":
+            # Rotates the priority even for an empty list, as the
+            # oracle's allocate() does on an empty matrix.
             grants = self._arbiter.allocate_sparse(pairs)
+        elif not pairs:
+            return
         else:  # sequential: one grant per cycle, rotating priority
             rr, n = self._sequential_rr, self.nodes
             src, dst = min(pairs, key=lambda ij: (ij[0] - rr) % n)

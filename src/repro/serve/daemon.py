@@ -59,8 +59,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.ladder import BackoffPolicy
 from repro.faults.models import FaultSchedule, fault_class
 from repro.faults.recovery import FabricRecovery
-from repro.noc.flumen_net import FlumenNetwork
 from repro.noc.packet import Packet
+from repro.noc.simulation import make_network
 from repro.obs import Obs, percentile_summary
 from repro.serve.admission import (
     AdmissionController,
@@ -192,23 +192,6 @@ class _Batch:
     submit_cycles: list[int] = field(default_factory=list)
 
 
-class _ServeNetwork(FlumenNetwork):
-    """FlumenNetwork that surfaces per-packet delivery to the daemon.
-
-    The kernel's latency stats are aggregate; the daemon needs each
-    delivery attributed to the tenant that offered the packet, so this
-    subclass forwards every completed packet through ``on_deliver``.
-    """
-
-    on_deliver = None
-
-    def _deliver(self, packet: Packet, delivered_cycle: int,
-                 track: str, **trace_args: object) -> None:
-        super()._deliver(packet, delivered_cycle, track, **trace_args)
-        if self.on_deliver is not None:
-            self.on_deliver(packet, delivered_cycle)
-
-
 class ServeDaemon:
     """Long-lived serving loop over one live Flumen fabric.
 
@@ -237,7 +220,9 @@ class ServeDaemon:
             probe_interval=config.probe_interval,
             devices=self.devices, obs=self.obs)
         self.ladder = self.recovery.ladder
-        self.net = _ServeNetwork(config.nodes, obs=self.obs)
+        self.vectorized = bool(vectorized)
+        self.net = make_network("flumen", config.nodes,
+                                vectorized=self.vectorized, obs=self.obs)
         self.net.on_deliver = self._on_deliver
         self.recovery.bind_network(self.net)
         self.control = MZIMControlUnit(self.net, self.system,
@@ -309,14 +294,14 @@ class ServeDaemon:
         self._c_rejected: dict[str, object] = {}
         self._c_completed: dict[str, object] = {}
         # -- vectorized fast path (two-slot oracle/fast pattern) ----------
-        # The fast slot pre-draws the whole arrival schedule (wheel),
-        # replays admission as array-form token buckets, memoizes the
-        # fleet-MVM flush and the healthy-mesh probe, and lets run() /
-        # _drain() fast-forward provably idle cycles.  Every artifact —
-        # events, snapshots, ledger, report — is byte-identical to the
-        # oracle slot (``vectorized=False``), which keeps the original
-        # per-cycle objects live.
-        self.vectorized = bool(vectorized)
+        # The fast slot serves the struct-of-arrays crossbar (built
+        # above), pre-draws the whole arrival schedule (wheel), replays
+        # admission as array-form token buckets, memoizes the fleet-MVM
+        # flush and the healthy-mesh probe, and lets run() / _drain()
+        # fast-forward provably idle cycles.  Every artifact — events,
+        # snapshots, ledger, report — is byte-identical to the oracle
+        # slot (``vectorized=False``), which keeps the original
+        # per-cycle objects and the per-object crossbar live.
         if self.vectorized:
             self._wheel = self.population.prebuild(config.duration)
             self._decisions: dict[int, list[bool]] | None = \

@@ -321,9 +321,9 @@ class TestActiveSetStepping:
         assert not net._waiting_sources
 
     def test_flumen_waiting_sources_drain(self):
-        from repro.noc.flumen_net import FlumenNetwork
+        from repro.noc.simulation import make_network
         from repro.noc.traffic import TrafficGenerator
-        net = FlumenNetwork(16)
+        net = make_network("flumen", 16)
         net.run(TrafficGenerator(16, "uniform", 0.3, seed=3),
                 cycles=400, drain=True)
         assert net.quiescent()

@@ -8,6 +8,7 @@ skip machinery's legality guards, token-bucket admission properties
 (hypothesis), and bounded-drain / zero-rate lifecycle edges.
 """
 
+import itertools
 import json
 
 import pytest
@@ -111,18 +112,77 @@ class TestSkipMachinery:
         with pytest.raises(RuntimeError):
             sched.skip_quiet_cycles(tau - phase + 1)
 
-    def test_net_skip_refuses_waiting_sources_and_completions(self):
-        daemon = ServeDaemon(ServeConfig(rate=0.2, duration=256,
-                                         seed=0, mvm_fraction=0.0),
-                             vectorized=False)
-        daemon.start()
-        net = daemon.net
-        while not net._circuits:
-            daemon.step()
-        countdown = net.quiet_countdown()
-        if countdown:
+    def test_net_quiet_skip_matches_stepping(self):
+        from repro.noc.packet import Packet
+        from repro.noc.simulation import make_network
+        from tests.test_soa_kernel import _summary
+
+        # Scenario 1: detours stagger the setups, so the skipped window
+        # crosses setup expiries (busy-link count changes mid-window).
+        # Scenario 2: a source's second packet is pre-granted (pipelined
+        # setup) while its first one drains.
+        long = [(0, 3, 20), (1, 5, 12), (2, 7, 30)]
+        scenarios = [(long, {(1, 5): 10, (2, 7): 5}),
+                     (long + [(4, 6, 6), (4, 9, 8)], {})]
+
+        def quiet_twin(arbitration, script, detours):
+            # A short utilization interval flushes inside every window.
+            net = make_network("flumen", 8, arbitration=arbitration,
+                               utilization_interval=5)
+            for (src, dst), extra in detours.items():
+                net.reroute_pair(src, dst, extra)
+            for src, dst, flits in script:
+                net.offer_packet(Packet(src=src, dst=dst, size_flits=flits,
+                                        create_cycle=0))
+            while net._waiting_sources or not net._order:
+                net.step()
+            return net
+
+        def state(net):
+            return (_summary(net), net._arbiter._priority,
+                    {src: net._p_setup[src] for src in net._pending_srcs},
+                    [(src, net._setup_left[src], net._remaining[src])
+                     for src in net._order])
+
+        def drain(net):
+            while not net.quiescent():
+                net.step()
+            net.utilization.finish()  # flush the partial interval too
+            return state(net)
+
+        for arbitration, scenario in itertools.product(
+                ("wavefront", "sequential"), scenarios):
+            countdown = quiet_twin(arbitration, *scenario).quiet_countdown()
+            assert countdown > 1
+            for k in range(1, countdown):
+                skipped, stepped = quiet_twin(arbitration, *scenario), \
+                    quiet_twin(arbitration, *scenario)
+                skipped.skip_quiet_cycles(k)
+                for _ in range(k):
+                    stepped.step()
+                assert state(skipped) == state(stepped)
+                assert drain(skipped) == drain(stepped)
+
+            # Refusals: a window holding a delivery, and buffered work.
+            net = quiet_twin(arbitration, *scenario)
             with pytest.raises(RuntimeError):
                 net.skip_quiet_cycles(countdown)
+            net.offer_packet(Packet(src=3, dst=1, size_flits=2,
+                                    create_cycle=net.cycle))
+            with pytest.raises(RuntimeError):
+                net.skip_quiet_cycles(1)
+
+            # The run loop's idle jump is the same bulk advance.
+            for idle in (1, 7, 250):
+                skipped, stepped = quiet_twin(arbitration, *scenario), \
+                    quiet_twin(arbitration, *scenario)
+                drain(skipped)
+                drain(stepped)
+                assert skipped.quiet_countdown() is None
+                skipped._skip_idle(idle)
+                for _ in range(idle):
+                    stepped.step()
+                assert state(skipped) == state(stepped)
 
     def test_utilization_record_cycles_equivalence(self):
         from repro.noc.stats import UtilizationTracker
