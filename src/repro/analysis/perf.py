@@ -20,7 +20,11 @@ smoke, an idle-network run) that
 
 Wall times are machine-dependent; digests and speedup ratios are not.
 The CI ``perf-smoke`` job therefore compares digests strictly and wall
-times with a generous (2x) tolerance.
+times with a generous (2x) tolerance.  Repeated micro benchmarks time
+every call for a fixed wall-clock budget and gate on the fastest call
+(``per_call_s``), the statistic least disturbed by a busy host; the
+median and interquartile range ride beside it (``per_call_spread``) so
+a noisy run is visible rather than a failure.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +47,11 @@ from repro.analysis.engine import (
 SCHEMA_VERSION = 1
 DEFAULT_BASELINE = "BENCH_baseline.json"
 DEFAULT_TOLERANCE = 2.0
+#: Wall-clock seconds :func:`_time_calls` keeps repeating a call after
+#: its minimum repetition count...
+TIME_BUDGET_S = 0.05
+#: ...up to this many calls in total.
+MAX_CALLS = 1000
 
 
 def _digest_array(arr: np.ndarray) -> str:
@@ -58,12 +68,40 @@ def _digest_json(obj: object) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def _time_calls(fn, reps: int) -> float:
-    """Mean seconds per call over ``reps`` invocations."""
+@dataclass(frozen=True)
+class CallTimes:
+    """Per-call wall times of one repeated call."""
+
+    min_s: float
+    median_s: float
+    iqr_s: float
+    calls: int
+
+    def spread(self) -> dict:
+        """The record's ``per_call_spread`` entry."""
+        return {"median_s": self.median_s, "iqr_s": self.iqr_s,
+                "calls": self.calls}
+
+
+def _time_calls(fn, reps: int) -> CallTimes:
+    """Time ``fn`` call by call: at least ``reps`` calls, then more
+    until :data:`TIME_BUDGET_S` has passed or :data:`MAX_CALLS` calls
+    have run."""
+    samples: list[float] = []
     start = time.perf_counter()
-    for _ in range(reps):
+    while len(samples) < reps or (
+            len(samples) < MAX_CALLS
+            and time.perf_counter() - start < TIME_BUDGET_S):
+        t0 = time.perf_counter()
         fn()
-    return (time.perf_counter() - start) / reps
+        samples.append(time.perf_counter() - t0)
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return CallTimes(min(samples), float(median), float(q3 - q1),
+                     len(samples))
+
+
+def _speedup(ref: CallTimes, vec: CallTimes) -> float:
+    return ref.min_s / vec.min_s if vec.min_s > 0 else float("inf")
 
 
 def _programmed_mesh(n: int):
@@ -90,13 +128,14 @@ def _bench_propagate(n: int, small: bool,
     reps = {16: 12, 32: 8, 64: 5}.get(n, 5) if small \
         else {16: 60, 32: 30, 64: 15}.get(n, 10)
     ref_reps = max(2, reps // 5)
-    vec_s = _time_calls(lambda: mesh.propagate(fields), reps)
-    ref_s = _time_calls(lambda: mesh._reference_propagate(fields), ref_reps)
+    vec = _time_calls(lambda: mesh.propagate(fields), reps)
+    ref = _time_calls(lambda: mesh._reference_propagate(fields), ref_reps)
     return {
-        "wall_s": vec_s * reps,
-        "per_call_s": vec_s,
-        "reference_per_call_s": ref_s,
-        "speedup_vs_reference": ref_s / vec_s if vec_s > 0 else float("inf"),
+        "wall_s": vec.min_s * reps,
+        "per_call_s": vec.min_s,
+        "per_call_spread": vec.spread(),
+        "reference_per_call_s": ref.min_s,
+        "speedup_vs_reference": _speedup(ref, vec),
         "meta": {"n": n, "width": width},
         "digest": _digest_array(mesh.propagate(fields)),
     }
@@ -107,13 +146,14 @@ def _bench_trace_hops(n: int, small: bool) -> dict:
     mesh = _programmed_mesh(n)
     reps = 1 if small else 3
     # _trace_hops directly: the memo would make later reps free.
-    cold_s = _time_calls(lambda: _trace_hops(mesh), reps)
+    cold = _time_calls(lambda: _trace_hops(mesh), reps)
     mesh.mzis_per_path()
-    warm_s = _time_calls(mesh.mzis_per_path, 10)
+    warm = _time_calls(mesh.mzis_per_path, 10)
     return {
-        "wall_s": cold_s * reps,
-        "per_call_s": cold_s,
-        "memoized_per_call_s": warm_s,
+        "wall_s": cold.min_s * reps,
+        "per_call_s": cold.min_s,
+        "per_call_spread": cold.spread(),
+        "memoized_per_call_s": warm.min_s,
         "meta": {"n": n},
         "digest": _digest_array(np.asarray(mesh.mzis_per_path())),
     }
@@ -128,7 +168,7 @@ def _bench_svd_cache(n: int, small: bool) -> dict:
     program = program_svd(matrix)
     cold_s = time.perf_counter() - t0
     reps = 3 if small else 10
-    warm_s = _time_calls(lambda: program_svd(matrix), reps)
+    warm_s = _time_calls(lambda: program_svd(matrix), reps).min_s
     return {
         "wall_s": cold_s,
         "per_call_s": cold_s,
@@ -154,15 +194,15 @@ def _bench_mesh_depth(architecture: str, n: int, small: bool) -> dict:
     u = random_unitary(n, np.random.default_rng(3000 + n))
     fields = _fixed_fields(n)
     reps = 2 if small else 6
-    dec_s = _time_calls(lambda: arch.decompose(u), reps)
+    dec = _time_calls(lambda: arch.decompose(u), reps)
     mesh = arch.decompose(u)
     arch.propagate(mesh, fields)  # warm the propagation plan
-    prop_s = _time_calls(lambda: arch.propagate(mesh, fields),
-                         reps * 10)
+    prop = _time_calls(lambda: arch.propagate(mesh, fields), reps * 10)
     return {
-        "wall_s": dec_s * reps,
-        "per_call_s": dec_s,
-        "propagate_per_call_s": prop_s,
+        "wall_s": dec.min_s * reps,
+        "per_call_s": dec.min_s,
+        "per_call_spread": dec.spread(),
+        "propagate_per_call_s": prop.min_s,
         "meta": {"architecture": architecture, "n": n,
                  "depth_bound": arch.depth(n),
                  "measured_columns": mesh.num_columns,
@@ -363,13 +403,14 @@ def _bench_mvm_batch(small: bool) -> dict:
         if not np.array_equal(g, w):
             raise RuntimeError(
                 "stacked MVM dispatch diverged from sequential evaluation")
-    vec_s = _time_calls(batched, reps)
-    ref_s = _time_calls(sequential, max(2, reps // 5))
+    vec = _time_calls(batched, reps)
+    ref = _time_calls(sequential, max(2, reps // 5))
     return {
-        "wall_s": vec_s * reps,
-        "per_call_s": vec_s,
-        "reference_per_call_s": ref_s,
-        "speedup_vs_reference": ref_s / vec_s if vec_s > 0 else float("inf"),
+        "wall_s": vec.min_s * reps,
+        "per_call_s": vec.min_s,
+        "per_call_spread": vec.spread(),
+        "reference_per_call_s": ref.min_s,
+        "speedup_vs_reference": _speedup(ref, vec),
         "meta": {"fleet": fleet, "size": size, "vectors": q,
                  "mzim_size": 8, "reps": reps},
         "digest": _digest_array(np.concatenate([g.ravel() for g in got])),
@@ -786,7 +827,10 @@ def compare_to_baseline(current: dict, baseline: dict,
     failed strictly) or a timing ratio above ``tolerance``.  When both
     sides report ``per_call_s`` the ratio uses it (repetition-count
     independent, so a small-suite run compares cleanly against a
-    full-suite baseline); otherwise it falls back to ``wall_s``.
+    full-suite baseline); otherwise it falls back to ``wall_s``.  A
+    record's ``per_call_spread`` (median and IQR of its timed calls) is
+    printed beside the gated fastest call: the median relative to it,
+    and the IQR relative to the median.
     """
     rows: list[list] = []
     failures: list[str] = []
@@ -807,6 +851,12 @@ def compare_to_baseline(current: dict, baseline: dict,
         else:
             quantity, cur, ref = "wall", record["wall_s"], base["wall_s"]
         ratio = cur / ref if ref > 0 else float("inf")
+        shown = f"{cur:.4f}"
+        spread = record.get("per_call_spread")
+        if quantity == "per-call" and spread and cur > 0:
+            median = spread["median_s"]
+            shown += (f" (median +{median / cur - 1:.0%}, "
+                      f"IQR {spread['iqr_s'] / median:.0%})")
         status = "ok"
         if record.get("digest") and base.get("digest") \
                 and record["digest"] != base["digest"]:
@@ -819,7 +869,7 @@ def compare_to_baseline(current: dict, baseline: dict,
             failures.append(
                 f"{name}: {quantity} {cur:.4f}s is {ratio:.2f}x the "
                 f"baseline {ref:.4f}s (tolerance {tolerance:g}x)")
-        rows.append([name, f"{cur:.4f}", f"{ref:.4f}",
+        rows.append([name, shown, f"{ref:.4f}",
                      f"{ratio:.2f}x", status])
     for name in base_benchmarks:
         if name not in current.get("benchmarks", {}):

@@ -79,6 +79,25 @@ def electrical_duration_cycles(plan: OffloadPlan,
     return max(1, int(math.ceil(cost.total_cycles)))
 
 
+def _first_fit(taken: list[bool], ports: int) -> tuple[int, int] | None:
+    """First contiguous run of ``ports`` free fabric ports, as ``[lo, hi)``."""
+    run = 0
+    for p, busy in enumerate(taken):
+        run = 0 if busy else run + 1
+        if run == ports:
+            return p - ports + 1, p + 1
+    return None
+
+
+def _widest_free_run(taken: list[bool]) -> int:
+    """Length of the longest contiguous run of free fabric ports."""
+    widest = run = 0
+    for busy in taken:
+        run = 0 if busy else run + 1
+        widest = max(widest, run)
+    return widest
+
+
 @dataclass
 class _ElectricalJob:
     """A compute request being serviced on the electrical fallback path."""
@@ -299,19 +318,37 @@ class FlumenScheduler:
     # -- Algorithm 1, lines 19-28 ---------------------------------------
 
     def _partitioner(self) -> None:
-        """Scan the compute buffer, granting partitions where buffers allow."""
+        """Scan the compute buffer, granting partitions where buffers allow.
+
+        One evaluation builds the port-occupancy bitmap once -- active
+        partitions plus the ladder's retired ports -- and marks each
+        grant's ``[lo, hi)`` in place; nothing else that placement
+        depends on (ladder cap, retired ports, network buffers) changes
+        inside an evaluation.  A request wider than the widest free run
+        is deferred without a first-fit scan; otherwise first-fit
+        returns exactly the placement a per-request rebuild would.
+        Deferred requests keep their buffer order, the buffer (the same
+        deque object) is rewritten once at the end, and the deferral
+        counters are added once per evaluation (nothing reads them
+        mid-tick), so grants, events and counters are byte-identical to
+        rescanning occupancy for every request.
+        """
         if self.ladder is not None and self.ladder.electrical_fallback:
             self._fallback_to_electrical()
             return
+        buffer = self.control.compute_buffer
+        if not buffer:
+            return
         network = self.control.network
-        remaining = []
-        for request in list(self.control.compute_buffer):
-            placement = self._find_ports(
-                self._effective_ports(request.ports_needed))
+        taken = self._port_occupancy()
+        widest = _widest_free_run(taken)
+        kept: list[ComputeRequest] = []
+        for request in buffer:
+            needed = self._effective_ports(request.ports_needed)
+            placement = (_first_fit(taken, needed) if needed <= widest
+                         else None)
             if placement is None:
-                remaining.append(request)
-                self.stats.deferred_evaluations += 1
-                self._m_deferrals.inc()
+                kept.append(request)
                 if self._events.enabled:
                     self._events.emit(
                         "partition_defer", self.cycle,
@@ -336,49 +373,67 @@ class FlumenScheduler:
                     request_id=request.request_id, beta=round(beta, 6),
                     eta=self.cfg.eta, zeta=self.cfg.zeta, granted=granted)
             if granted:
-                network.block_ports(endpoints)
-                duration = (request.duration_override
-                            if request.duration_override is not None
-                            else compute_duration_cycles(
-                                request.plan, self.system))
-                comp = ActiveComputation(
-                    request=request, lo_port=lo, hi_port=hi,
-                    total_cycles=duration, remaining_cycles=duration,
-                    grant_cycle=self.cycle)
-                if self.fabric is not None:
-                    comp.fabric_partition = self.fabric.split(lo, hi)
-                self.active.append(comp)
-                self.stats.granted += 1
-                self._m_grants.inc()
-                wait = self.cycle - request.submit_cycle
-                self.stats.total_wait_cycles += wait
-                self.control.compute_buffer.remove(request)
-                self._account_tenant("core.tenant_partition_grants",
-                                     request.tenant)
-                self._account_tenant("core.tenant_wait_cycles",
-                                     request.tenant, wait)
-                if self._events.enabled:
-                    self._events.emit(
-                        "partition_grant", self.cycle,
-                        tenant=request.tenant,
-                        request_id=request.request_id,
-                        lo_port=lo, hi_port=hi, beta=round(beta, 6),
-                        wait_cycles=wait, duration=duration)
-                if self._tracer.enabled:
-                    self._tracer.instant(
-                        "core", "alg1", "mzim_block", self.cycle,
-                        request_id=request.request_id, lo_port=lo,
-                        hi_port=hi, endpoints=sorted(endpoints))
+                self._grant(request, lo, hi, endpoints, beta)
+                taken[lo:hi] = [True] * (hi - lo)
+                widest = _widest_free_run(taken)
             else:
-                remaining.append(request)
-                self.stats.deferred_evaluations += 1
-                self._m_deferrals.inc()
+                kept.append(request)
                 if self._events.enabled:
                     self._events.emit(
                         "partition_defer", self.cycle,
                         tenant=request.tenant,
                         request_id=request.request_id, reason="beta",
                         beta=round(beta, 6), eta=self.cfg.eta)
+        deferred = len(kept)
+        self.stats.deferred_evaluations += deferred
+        self._m_deferrals.inc(deferred)
+        if deferred != len(buffer):
+            buffer.clear()
+            buffer.extend(kept)
+
+    def _port_occupancy(self) -> list[bool]:
+        """Per fabric port: held by an active partition or retired by
+        the ladder (dead-link endpoints never join a placement)."""
+        taken = [False] * self.control.fabric_ports
+        for comp in self.active:
+            for p in range(comp.lo_port, comp.hi_port):
+                taken[p] = True
+        if self.ladder is not None:
+            for p in self.ladder.unusable_ports:
+                if 0 <= p < len(taken):
+                    taken[p] = True
+        return taken
+
+    def _grant(self, request: ComputeRequest, lo: int, hi: int,
+               endpoints: set[int], beta: float) -> None:
+        """Block ``[lo, hi)`` for ``request`` and start its partition."""
+        self.control.network.block_ports(endpoints)
+        duration = (request.duration_override
+                    if request.duration_override is not None
+                    else compute_duration_cycles(request.plan, self.system))
+        comp = ActiveComputation(
+            request=request, lo_port=lo, hi_port=hi,
+            total_cycles=duration, remaining_cycles=duration,
+            grant_cycle=self.cycle)
+        if self.fabric is not None:
+            comp.fabric_partition = self.fabric.split(lo, hi)
+        self.active.append(comp)
+        self.stats.granted += 1
+        self._m_grants.inc()
+        wait = self.cycle - request.submit_cycle
+        self.stats.total_wait_cycles += wait
+        self._account_tenant("core.tenant_partition_grants", request.tenant)
+        self._account_tenant("core.tenant_wait_cycles", request.tenant, wait)
+        if self._events.enabled:
+            self._events.emit(
+                "partition_grant", self.cycle, tenant=request.tenant,
+                request_id=request.request_id, lo_port=lo, hi_port=hi,
+                beta=round(beta, 6), wait_cycles=wait, duration=duration)
+        if self._tracer.enabled:
+            self._tracer.instant(
+                "core", "alg1", "mzim_block", self.cycle,
+                request_id=request.request_id, lo_port=lo, hi_port=hi,
+                endpoints=sorted(endpoints))
 
     def _effective_ports(self, ports_needed: int) -> int:
         """Partition size after the ladder's SHRINK cap (even, >= 2)."""
@@ -416,27 +471,6 @@ class FlumenScheduler:
                     "core", "faults", "electrical_fallback", self.cycle,
                     request_id=request.request_id, node=request.node,
                     duration=duration)
-
-    def _find_ports(self, ports_needed: int) -> tuple[int, int] | None:
-        """First-fit contiguous free fabric port range.
-
-        Ports the degradation ladder has retired (dead-link endpoints)
-        are never part of a placement.
-        """
-        taken = [False] * self.control.fabric_ports
-        for comp in self.active:
-            for p in range(comp.lo_port, comp.hi_port):
-                taken[p] = True
-        if self.ladder is not None:
-            for p in self.ladder.unusable_ports:
-                if 0 <= p < len(taken):
-                    taken[p] = True
-        run = 0
-        for p in range(self.control.fabric_ports):
-            run = run + 1 if not taken[p] else 0
-            if run == ports_needed:
-                return p - ports_needed + 1, p + 1
-        return None
 
     # -- Algorithm 1, lines 1-18 -----------------------------------------
 

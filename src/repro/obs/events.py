@@ -63,6 +63,27 @@ EVENT_TYPES: dict[str, tuple[str, ...]] = {
 RESERVED_KEYS = frozenset({"v", "seq", "cycle", "type", "tenant",
                            "request_id"})
 
+#: :data:`EVENT_TYPES` as sets, so an emit checks its payload with two
+#: set operations; the ordered tuples stay the error-message source.
+_REQUIRED_SETS: dict[str, frozenset[str]] = {
+    event_type: frozenset(fields)
+    for event_type, fields in EVENT_TYPES.items()}
+
+
+def _schema_error(event_type: str, payload: dict) -> ValueError:
+    """The exact complaint about a payload that failed validation."""
+    required = EVENT_TYPES.get(event_type)
+    if required is None:
+        return ValueError(f"unknown event type {event_type!r}; "
+                          f"known: {sorted(EVENT_TYPES)}")
+    missing = [k for k in required if k not in payload]
+    if missing:
+        return ValueError(f"event {event_type!r} missing required "
+                          f"payload fields {missing}")
+    clash = RESERVED_KEYS.intersection(payload)
+    return ValueError(f"payload keys {sorted(clash)} collide with "
+                      "the event envelope")
+
 
 class MonotoneClock:
     """Rebases restarting component-local cycle counters onto one
@@ -139,18 +160,10 @@ class EventLog:
              request_id: int | None = None,
              **payload: object) -> dict:
         """Append one record; returns it (tests inspect the envelope)."""
-        required = EVENT_TYPES.get(event_type)
-        if required is None:
-            raise ValueError(f"unknown event type {event_type!r}; "
-                             f"known: {sorted(EVENT_TYPES)}")
-        missing = [k for k in required if k not in payload]
-        if missing:
-            raise ValueError(f"event {event_type!r} missing required "
-                             f"payload fields {missing}")
-        clash = RESERVED_KEYS.intersection(payload)
-        if clash:
-            raise ValueError(f"payload keys {sorted(clash)} collide with "
-                             "the event envelope")
+        required = _REQUIRED_SETS.get(event_type)
+        if (required is None or not required <= payload.keys()
+                or not RESERVED_KEYS.isdisjoint(payload)):
+            raise _schema_error(event_type, payload)
         record: dict = {"v": EVENT_SCHEMA_VERSION, "seq": self._seq,
                         "cycle": self.clock.advance(cycle),
                         "type": event_type}

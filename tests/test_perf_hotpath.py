@@ -375,6 +375,36 @@ class TestPerfHarness:
         assert record["speedup_vs_reference"] > 0
         assert record["meta"] == {"n": 16, "width": None}
         assert len(record["digest"]) == 64
+        spread = record["per_call_spread"]
+        assert spread["calls"] >= 12  # the small suite's minimum reps
+        assert spread["median_s"] >= record["per_call_s"] > 0
+        assert spread["iqr_s"] >= 0
+
+    def test_time_calls_runs_at_least_reps_within_budget(self):
+        from repro.analysis import perf
+        calls = []
+        times = perf._time_calls(lambda: calls.append(1), 3)
+        assert times.calls == len(calls)
+        assert 3 <= times.calls <= perf.MAX_CALLS
+        assert 0 <= times.min_s <= times.median_s
+        assert times.iqr_s >= 0
+
+    def test_compare_gates_on_min_and_prints_spread(self):
+        from repro.analysis.perf import compare_to_baseline
+        # A noisy run: the median is 5x the baseline, the fastest call
+        # is within budget.  The gate passes and the row shows the noise.
+        current = {"benchmarks": {"b": {
+            "wall_s": 0.1, "per_call_s": 0.010, "meta": {}, "digest": "x",
+            "per_call_spread": {"median_s": 0.030, "iqr_s": 0.015,
+                                "calls": 9}}}}
+        baseline = {"benchmarks": {"b": {
+            "wall_s": 0.1, "per_call_s": 0.006, "meta": {},
+            "digest": "x"}}}
+        rows, failures = compare_to_baseline(current, baseline,
+                                             tolerance=2.0)
+        assert not failures
+        assert rows == [["b", "0.0100 (median +200%, IQR 50%)", "0.0060",
+                         "1.67x", "ok"]]
 
     def test_digests_are_run_independent(self):
         from repro.analysis import perf

@@ -1,8 +1,14 @@
 """Tests for the MZIM control unit and Algorithm 1 scheduler."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.engine import canonical_json
 from repro.config import SchedulerConfig, SystemConfig
 from repro.core.accelerator import BlockMatmul, plan_offload
 from repro.core.control_unit import (
@@ -10,9 +16,17 @@ from repro.core.control_unit import (
     MatrixMemory,
     MZIMControlUnit,
 )
-from repro.core.scheduler import FlumenScheduler, compute_duration_cycles
+from repro.core.scheduler import (
+    ActiveComputation,
+    FlumenScheduler,
+    compute_duration_cycles,
+)
+from repro.faults.ladder import DegradationLadder
 from repro.noc.flumen_net import FlumenNetwork
 from repro.noc.packet import Packet
+from repro.obs import Obs
+from repro.photonics.fabric import FlumenFabric
+from repro.serve import ServeConfig, ServeDaemon
 
 
 def small_plan(vectors=8):
@@ -233,3 +247,244 @@ class TestScheduler:
         net.offer_packet(Packet(src=9, dst=14, size_flits=4, create_cycle=0))
         sched.run(60)
         assert net.latency.received == 1
+
+
+# ---------------------------------------------------------------------------
+# The incremental partitioner against a per-request oracle
+
+
+def reference_partitioner(sched: FlumenScheduler) -> None:
+    """Plain Algorithm 1 partitioner scan (no electrical rung).
+
+    Rebuilds port occupancy from the active partitions and retired ports
+    for every queued request, and removes each granted request from the
+    buffer as it is granted.  Emits and counts exactly what
+    :meth:`FlumenScheduler._partitioner` must.
+    """
+    control, network = sched.control, sched.control.network
+
+    def first_fit(ports_needed):
+        taken = [False] * control.fabric_ports
+        for comp in sched.active:
+            for p in range(comp.lo_port, comp.hi_port):
+                taken[p] = True
+        if sched.ladder is not None:
+            for p in sched.ladder.unusable_ports:
+                if 0 <= p < len(taken):
+                    taken[p] = True
+        run = 0
+        for p in range(control.fabric_ports):
+            run = run + 1 if not taken[p] else 0
+            if run == ports_needed:
+                return p - ports_needed + 1, p + 1
+        return None
+
+    for request in list(control.compute_buffer):
+        placement = first_fit(sched._effective_ports(request.ports_needed))
+        if placement is None:
+            sched.stats.deferred_evaluations += 1
+            sched._m_deferrals.inc()
+            sched._events.emit(
+                "partition_defer", sched.cycle, tenant=request.tenant,
+                request_id=request.request_id, reason="no_ports",
+                ports_needed=request.ports_needed)
+            sched._tracer.instant(
+                "core", "alg1", "partition_defer", sched.cycle,
+                request_id=request.request_id, reason="no_ports",
+                ports_needed=request.ports_needed)
+            continue
+        lo, hi = placement
+        endpoints = control.port_range_endpoints(lo, hi)
+        beta = network.buffer_utilization(sorted(endpoints),
+                                          scan_depth=sched.cfg.zeta)
+        granted = beta <= sched.cfg.eta
+        sched._h_beta.observe(beta)
+        sched._tracer.instant(
+            "core", "alg1", "beta_eval", sched.cycle,
+            request_id=request.request_id, beta=round(beta, 6),
+            eta=sched.cfg.eta, zeta=sched.cfg.zeta, granted=granted)
+        if not granted:
+            sched.stats.deferred_evaluations += 1
+            sched._m_deferrals.inc()
+            sched._events.emit(
+                "partition_defer", sched.cycle, tenant=request.tenant,
+                request_id=request.request_id, reason="beta",
+                beta=round(beta, 6), eta=sched.cfg.eta)
+            continue
+        network.block_ports(endpoints)
+        duration = (request.duration_override
+                    if request.duration_override is not None
+                    else compute_duration_cycles(request.plan, sched.system))
+        comp = ActiveComputation(
+            request=request, lo_port=lo, hi_port=hi,
+            total_cycles=duration, remaining_cycles=duration,
+            grant_cycle=sched.cycle)
+        if sched.fabric is not None:
+            comp.fabric_partition = sched.fabric.split(lo, hi)
+        sched.active.append(comp)
+        sched.stats.granted += 1
+        sched._m_grants.inc()
+        wait = sched.cycle - request.submit_cycle
+        sched.stats.total_wait_cycles += wait
+        control.compute_buffer.remove(request)
+        sched._account_tenant("core.tenant_partition_grants",
+                              request.tenant)
+        sched._account_tenant("core.tenant_wait_cycles", request.tenant,
+                              wait)
+        sched._events.emit(
+            "partition_grant", sched.cycle, tenant=request.tenant,
+            request_id=request.request_id, lo_port=lo, hi_port=hi,
+            beta=round(beta, 6), wait_cycles=wait, duration=duration)
+        sched._tracer.instant(
+            "core", "alg1", "mzim_block", sched.cycle,
+            request_id=request.request_id, lo_port=lo, hi_port=hi,
+            endpoints=sorted(endpoints))
+
+
+@st.composite
+def partitioner_cases(draw):
+    """One partitioner evaluation's starting state (8 fabric ports)."""
+    occupied: set[int] = set()
+    active = []
+    for lo, size in draw(st.lists(
+            st.tuples(st.integers(0, 7), st.sampled_from((2, 4))),
+            max_size=3)):
+        span = set(range(lo, lo + size))
+        if lo + size <= 8 and not span & occupied:
+            occupied |= span
+            active.append((lo, lo + size))
+    ladder = draw(st.none() | st.tuples(
+        st.integers(2, 8), st.sets(st.integers(-2, 10), max_size=3)))
+    return {
+        "active": active,
+        "ladder": ladder,
+        "fabric": draw(st.booleans()),
+        "eta": draw(st.sampled_from((0.0, 0.1, 0.3, 0.6, 1.0))),
+        "zeta": draw(st.sampled_from((0.25, 0.5, 1.0))),
+        # Packets queued at each of the 16 endpoints' request buffers.
+        "backlog": draw(st.lists(st.integers(0, 20), min_size=16,
+                                 max_size=16)),
+        "requests": draw(st.lists(
+            st.tuples(st.sampled_from((2, 4, 6, 8)),
+                      st.integers(0, 40),
+                      st.none() | st.integers(1, 50),
+                      st.sampled_from(("a", "b", "c"))),
+            max_size=40)),
+    }
+
+
+def build_partitioner_stack(case: dict) -> FlumenScheduler:
+    """A fresh, fully observed scheduler in the case's state."""
+    system = SystemConfig().replace(scheduler=SchedulerConfig(
+        tau_cycles=10, eta=case["eta"], zeta=case["zeta"]))
+    obs = Obs.active()
+    net = FlumenNetwork(16)
+    for src, count in enumerate(case["backlog"]):
+        for _ in range(count):
+            net.offer_packet(Packet(src=src, dst=(src + 5) % 16,
+                                    size_flits=2, create_cycle=0))
+    control = MZIMControlUnit(net, system, obs=obs)
+    ladder = None
+    if case["ladder"] is not None:
+        cap, retired = case["ladder"]
+        ladder = DegradationLadder(fabric_ports=8, obs=obs)
+        ladder.partition_ports_cap = cap
+        ladder.unusable_ports = set(retired)
+    fabric = FlumenFabric(8, obs=obs) if case["fabric"] else None
+    sched = FlumenScheduler(control, system, obs=obs, fabric=fabric,
+                            ladder=ladder)
+    sched.cycle = 50
+    for lo, hi in case["active"]:
+        request = ComputeRequest(node=0, plan=small_plan(),
+                                 matrix_key="held", submit_cycle=0,
+                                 ports_needed=hi - lo, request_id=1000 + lo)
+        comp = ActiveComputation(request=request, lo_port=lo, hi_port=hi,
+                                 total_cycles=99, remaining_cycles=99)
+        if fabric is not None:
+            comp.fabric_partition = fabric.split(lo, hi)
+        net.block_ports(control.port_range_endpoints(lo, hi))
+        sched.active.append(comp)
+    for i, (ports, submit_cycle, duration, tenant) in \
+            enumerate(case["requests"]):
+        control.compute_buffer.append(ComputeRequest(
+            node=i % 16, plan=small_plan(), matrix_key=f"m{i}",
+            submit_cycle=submit_cycle, ports_needed=ports,
+            duration_override=duration, tenant=tenant, request_id=i))
+    return sched
+
+
+def partitioner_outcome(sched: FlumenScheduler) -> dict:
+    """Everything one evaluation can change, in comparable form."""
+    obs = sched.obs
+    return {
+        "grants": [(c.request.request_id, c.lo_port, c.hi_port,
+                    c.total_cycles) for c in sched.active],
+        "events": list(obs.events.events),
+        "trace": list(obs.tracer.events),
+        "stats": sched.stats.to_dict(),
+        "metrics": obs.metrics.to_dict(),
+        "buffer": [r.request_id for r in sched.control.compute_buffer],
+        "blocked": sorted(sched.control.network.blocked_ports),
+        "fabric": (None if sched.fabric is None else
+                   [(p.lo, p.hi, p.kind.name)
+                    for p in sched.fabric.partitions]),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitioner_cases())
+def test_partitioner_matches_per_request_oracle(case):
+    """One occupancy scan per evaluation is byte-identical to a rescan
+    per request: grants, events, trace, counters, metric series and the
+    kept requests' buffer order."""
+    fast = build_partitioner_stack(case)
+    buffer = fast.control.compute_buffer
+    fast._partitioner()
+    assert fast.control.compute_buffer is buffer
+    oracle = build_partitioner_stack(case)
+    reference_partitioner(oracle)
+    assert partitioner_outcome(fast) == partitioner_outcome(oracle)
+
+
+def test_partitioner_grants_several_per_evaluation():
+    """Grants update occupancy in place: the next request in the same
+    scan sees the ports the previous grant took.  The first request
+    exactly fills the widest free run ([0, 2) or [4, 6); port 6 is
+    retired and 12 is out of range)."""
+    case = {"active": [(2, 4)], "ladder": (8, {6, 12}), "fabric": True,
+            "eta": 1.0, "zeta": 0.5, "backlog": [0] * 16,
+            "requests": [(2, 0, 5, "a"), (4, 0, 5, "b"), (2, 0, 5, "a"),
+                         (2, 0, 5, "c"), (2, 0, 5, "b")]}
+    fast = build_partitioner_stack(case)
+    fast._partitioner()
+    oracle = build_partitioner_stack(case)
+    reference_partitioner(oracle)
+    assert partitioner_outcome(fast) == partitioner_outcome(oracle)
+    assert [(c.lo_port, c.hi_port) for c in fast.active] == \
+        [(2, 4), (0, 2), (4, 6)]
+    assert [r.request_id for r in fast.control.compute_buffer] == [1, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# Tier-1 pin of the saturated serve path
+
+
+def test_saturated_serve_session_pinned():
+    """A seeded 12-tenant, rate-0.2, 90%-MVM session: the long-backlog
+    regime where every tau evaluation rescans hundreds of requests.
+    The pinned values predate the incremental partitioner."""
+    daemon = ServeDaemon(ServeConfig(tenants=12, rate=0.2,
+                                     mvm_fraction=0.9, duration=1024,
+                                     seed=1))
+    report = daemon.run()
+    assert daemon.scheduler.stats.to_dict() == {
+        "granted": 210, "completed": 210, "deferred_evaluations": 4457,
+        "total_wait_cycles": 456581, "total_drain_cycles": 89,
+        "busy_port_cycles": 25848, "electrical_completions": 0,
+        "average_wait": 2174.195238095238}
+    assert Counter(e["type"] for e in daemon.obs.events.events) == {
+        "admission_reject": 704, "mvm_flush": 120,
+        "partition_complete": 210, "partition_defer": 4457,
+        "partition_grant": 210, "serve_transition": 3}
+    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() \
+        == "598c9782240391ea4589a7889b1e047cac0f1bb27f70d5b64f55042b5f0c2128"

@@ -100,6 +100,27 @@ class TestEventLog:
         with pytest.raises(ValueError, match="collide"):
             EventLog().emit("cache_hit", 0, task="t", key="k", seq=9)
 
+    def test_rejection_messages_pinned(self):
+        """Exact texts of the three schema complaints; a rejected emit
+        records nothing and consumes no sequence number."""
+        log = EventLog()
+        with pytest.raises(ValueError) as unknown:
+            log.emit("not_a_type", 0, reason="x")
+        assert str(unknown.value) == (
+            f"unknown event type 'not_a_type'; known: {sorted(EVENT_TYPES)}")
+        with pytest.raises(ValueError) as missing:
+            # Missing fields are reported before an envelope clash.
+            log.emit("partition_grant", 0, lo_port=0, beta=0.5, seq=1)
+        assert str(missing.value) == (
+            "event 'partition_grant' missing required payload fields "
+            "['hi_port', 'wait_cycles']")
+        with pytest.raises(ValueError) as clash:
+            log.emit("cache_hit", 0, task="t", key="k", v=2, seq=9)
+        assert str(clash.value) == (
+            "payload keys ['seq', 'v'] collide with the event envelope")
+        assert len(log) == 0
+        assert log.emit("cache_hit", 0, task="t", key="k")["seq"] == 0
+
     def test_tail_and_by_type(self):
         log = EventLog()
         for i in range(5):
