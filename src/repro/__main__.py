@@ -60,10 +60,15 @@ from repro.analysis.report import emit
 log = logging.getLogger("repro.cli")
 
 
-def _configuration_names() -> tuple[str, ...]:
-    """Registered configurations at parser-build time (plugin-aware)."""
-    from repro.core.pipelines import configuration_names
-    return configuration_names()
+def _all_known(registry, names) -> bool:
+    """Whether every name is registered; logs the registry's error if not."""
+    try:
+        for name in names:
+            registry.get(name)
+    except ValueError as err:
+        log.error("%s", err)
+        return False
+    return True
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -177,22 +182,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         SweepEngine,
     )
     from repro.analysis.report import format_table
-    from repro.core.pipelines import configuration_names
+    from repro.core.pipelines import CONFIGURATIONS
+    from repro.photonics.registry import MESHES
     from repro.workloads import paper_workloads
 
     if args.jobs < 1:
         log.error("--jobs must be >= 1, got %d", args.jobs)
         return 2
 
-    from repro.photonics.registry import registered_meshes
-
-    known_meshes = registered_meshes()
     meshes = list(dict.fromkeys(args.mesh or []))
-    for mesh in meshes:
-        if mesh not in known_meshes:
-            log.error("unknown mesh architecture %r; choose from %s",
-                      mesh, list(known_meshes))
-            return 2
+    if not _all_known(MESHES, meshes):
+        return 2
 
     shapes = "small" if args.small else "paper"
     if args.task == "mesh_comparison":
@@ -201,22 +201,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # fault doses (DESIGN.md §16).
         points = [PointSpec(key=f"mesh/{mesh}",
                             params={"architecture": mesh})
-                  for mesh in (meshes or list(known_meshes))]
+                  for mesh in (meshes or list(MESHES.names()))]
     else:
         known_workloads = [wl.name for wl in paper_workloads()]
-        known_configs = configuration_names()
         workloads = list(dict.fromkeys(args.workloads or known_workloads))
-        configs = list(dict.fromkeys(args.configs or known_configs))
+        configs = list(dict.fromkeys(args.configs
+                                     or CONFIGURATIONS.names()))
         for name in workloads:
             if name not in known_workloads:
                 log.error("unknown workload %r; choose from %s",
                           name, known_workloads)
                 return 2
-        for cfg in configs:
-            if cfg not in known_configs:
-                log.error("unknown configuration %r; choose from %s",
-                          cfg, list(known_configs))
-                return 2
+        if not _all_known(CONFIGURATIONS, configs):
+            return 2
         points = []
         for wl in workloads:
             for cfg in configs:
@@ -312,16 +309,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.serve import LiveTelemetryStore, ServeConfig, ServeDaemon
 
-    config = ServeConfig(
-        duration=args.duration, seed=args.seed, arrival=args.arrival,
-        rate=args.rate, tenants=args.tenants,
-        mvm_fraction=args.mvm_fraction, nodes=args.nodes,
-        ports=args.ports, batch_size=args.batch_size,
-        batch_window=args.batch_window,
-        admission_rate=args.admission_rate,
-        admission_burst=args.admission_burst, fault=args.fault,
-        fault_magnitude=args.fault_magnitude,
-        max_events=args.max_events)
+    try:
+        config = ServeConfig(
+            duration=args.duration, seed=args.seed, arrival=args.arrival,
+            rate=args.rate, tenants=args.tenants,
+            mvm_fraction=args.mvm_fraction, nodes=args.nodes,
+            ports=args.ports, batch_size=args.batch_size,
+            batch_window=args.batch_window,
+            admission_rate=args.admission_rate,
+            admission_burst=args.admission_burst, fault=args.fault,
+            fault_magnitude=args.fault_magnitude,
+            max_events=args.max_events)
+    except ValueError as err:
+        log.error("serve: %s", err)
+        return 2
     vectorized = args.loop != "oracle"
     if args.replicas > 1:
         return _cmd_serve_cluster(args, config, vectorized)
@@ -608,12 +609,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_metrics_jsonl,
     )
 
-    if args.mesh is not None:
-        from repro.photonics.registry import registered_meshes
-        if args.mesh not in registered_meshes():
-            log.error("unknown mesh architecture %r; choose from %s",
-                      args.mesh, list(registered_meshes()))
-            return 2
+    from repro.photonics.registry import MESHES
+    if args.mesh is not None and not _all_known(MESHES, [args.mesh]):
+        return 2
 
     shapes = "small" if args.small else "paper"
     log.info("tracing %s under %s (%s shapes, seed=%d)",
@@ -668,10 +666,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             log.error("unknown fault kind %r; choose from %s",
                       kind, list(known))
             return 2
-    from repro.photonics.registry import registered_meshes
-    if args.mesh not in registered_meshes():
-        log.error("unknown mesh architecture %r; choose from %s",
-                  args.mesh, list(registered_meshes()))
+    from repro.photonics.registry import MESHES
+    if not _all_known(MESHES, [args.mesh]):
         return 2
 
     points = []
@@ -745,10 +741,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         return 2
     only = args.only
     if args.mesh is not None:
-        from repro.photonics.registry import registered_meshes
-        if args.mesh not in registered_meshes():
-            log.error("unknown mesh architecture %r; choose from %s",
-                      args.mesh, list(registered_meshes()))
+        from repro.photonics.registry import MESHES
+        if not _all_known(MESHES, [args.mesh]):
             return 2
         if only is None:
             only = f"mesh_depth/{args.mesh}"
@@ -822,6 +816,10 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.core.pipelines import CONFIGURATIONS
+    from repro.faults import FAULTS
+    from repro.serve import ARRIVALS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Flumen (ISCA 2023) reproduction toolkit")
@@ -886,14 +884,6 @@ def main(argv: list[str] | None = None) -> int:
                           "metrics.prom to DIR (serve with "
                           "'metrics-server --dir DIR')")
 
-    def _arrival_names() -> list[str]:
-        from repro.serve import registered_arrivals
-        return list(registered_arrivals())
-
-    def _fault_names() -> list[str]:
-        from repro.faults import registered_faults
-        return list(registered_faults())
-
     svd = sub.add_parser(
         "serve", help="long-lived serving daemon under live traffic "
                       "(DESIGN.md §17)")
@@ -905,7 +895,7 @@ def main(argv: list[str] | None = None) -> int:
                      help="session seed; same seed -> byte-identical "
                           "events, snapshots, exposition, and report")
     svd.add_argument("--arrival", default="poisson",
-                     choices=_arrival_names(),
+                     choices=list(ARRIVALS.names()),
                      help="arrival process shaping offered load "
                           "(default: poisson)")
     svd.add_argument("--rate", type=float, default=0.05,
@@ -933,7 +923,7 @@ def main(argv: list[str] | None = None) -> int:
     svd.add_argument("--admission-burst", type=float, default=24.0,
                      help="token-bucket depth in requests "
                           "(default: 24)")
-    svd.add_argument("--fault", default=None, choices=_fault_names(),
+    svd.add_argument("--fault", default=None, choices=list(FAULTS.names()),
                      help="inject one seeded fault mid-session "
                           "(default: fault-free)")
     svd.add_argument("--fault-magnitude", type=float, default=1.0,
@@ -1023,7 +1013,7 @@ def main(argv: list[str] | None = None) -> int:
     trc.add_argument("workload", nargs="?", default="rotation3d",
                      help="workload name (default: rotation3d)")
     trc.add_argument("--config", default="flumen_a",
-                     choices=list(_configuration_names()),
+                     choices=list(CONFIGURATIONS.names()),
                      help="configuration to trace (default: flumen_a, "
                           "the only one exercising all five layers)")
     trc.add_argument("--small", action="store_true",

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs import NULL_OBS, Obs
+from repro.registry import Registry
 
 #: Default cache location, overridable via the environment.
 CACHE_DIR_ENV = "FLUMEN_CACHE_DIR"
@@ -81,26 +82,33 @@ class TaskSpec:
     context: Callable[[], Mapping] | None = None
 
 
-_TASKS: dict[str, TaskSpec] = {}
+#: task name -> :class:`TaskSpec`.
+TASKS: Registry[TaskSpec] = Registry("task")
 
 
 def register_task(name: str, *, context: Callable[[], Mapping] | None = None):
-    """Decorator: register ``fn(params, seed) -> metrics`` under ``name``."""
+    """Decorator: register ``fn(params, seed) -> metrics`` under ``name``.
+
+    Overwrites an existing task of that name.
+    """
     def decorate(fn: Callable[[dict, int], Mapping]):
-        _TASKS[name] = TaskSpec(name=name, fn=fn, context=context)
+        TASKS.register(name, TaskSpec(name=name, fn=fn, context=context),
+                       replace=True)
         return fn
     return decorate
 
 
 def get_task(name: str) -> TaskSpec:
-    """Look up a registered task, importing the built-in set on demand."""
-    if name not in _TASKS:
+    """Look up a registered task, importing the built-in set on demand.
+
+    Raises :class:`KeyError` for an unknown name.
+    """
+    if name not in TASKS:
         from repro.analysis import tasks as _builtin  # noqa: F401
     try:
-        return _TASKS[name]
-    except KeyError:
-        raise KeyError(f"unknown task {name!r}; "
-                       f"registered: {sorted(_TASKS)}") from None
+        return TASKS.get(name)
+    except ValueError as err:
+        raise KeyError(str(err)) from None
 
 
 # ----------------------------------------------------------------------

@@ -368,9 +368,9 @@ def _bench_sweep_2x2(small: bool) -> dict:
 
 
 def _bench_sweep_full(small: bool) -> dict:
-    from repro.core.pipelines import configuration_names
+    from repro.core.pipelines import CONFIGURATIONS
     from repro.workloads import WORKLOAD_NAMES
-    return _bench_sweep(list(WORKLOAD_NAMES), list(configuration_names()))
+    return _bench_sweep(list(WORKLOAD_NAMES), list(CONFIGURATIONS.names()))
 
 
 def _bench_mvm_batch(small: bool) -> dict:

@@ -33,7 +33,7 @@ import dataclasses
 
 from repro.analysis.engine import register_task
 from repro.config import DeviceParams, SchedulerConfig, SystemConfig
-from repro.core.pipelines import get_configuration
+from repro.core.pipelines import CONFIGURATIONS
 from repro.core.system import SystemModel, WorkloadRun
 from repro.multicore.energy import EnergyBreakdown
 
@@ -107,7 +107,7 @@ def system_point(params: dict, seed: int) -> dict:
     """
     # Resolve early so an unknown name fails with the registered list
     # before any simulation work happens.
-    configuration = get_configuration(params["configuration"]).name
+    configuration = CONFIGURATIONS.get(params["configuration"]).name
     workload = _find_workload(params["workload"],
                               params.get("shapes", "paper"))
     system = None

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.pipelines import get_configuration
+from repro.core.pipelines import CONFIGURATIONS
 from repro.core.system import SystemModel, WorkloadRun
 from repro.obs import LAYERS, Obs, chrome_trace_payload
 
@@ -92,7 +92,7 @@ def trace_workload(workload_name: str,
     """
     from repro.analysis.tasks import _find_workload
 
-    configuration = get_configuration(configuration).name
+    configuration = CONFIGURATIONS.get(configuration).name
     workload = _find_workload(workload_name, shapes)
     obs = obs if obs is not None else Obs.active()
     system = None

@@ -19,26 +19,14 @@ from repro.core.control_unit import (
     MZIMControlUnit,
 )
 from repro.core.offload import Decision, OffloadPolicy
-from repro.core.pipelines import (
-    ConfigPipeline,
-    configuration_names,
-    get_configuration,
-    iter_configurations,
-    register_configuration,
-    temporary_configuration,
-    unregister_configuration,
-)
+from repro.core.pipelines import CONFIGURATIONS, ConfigPipeline
 from repro.core.scheduler import (
     ActiveComputation,
     FlumenScheduler,
     SchedulerStats,
     compute_duration_cycles,
 )
-from repro.core.system import (
-    CONFIGURATIONS,
-    SystemModel,
-    WorkloadRun,
-)
+from repro.core.system import SystemModel, WorkloadRun
 
 __all__ = [
     "ActiveComputation",
@@ -56,12 +44,6 @@ __all__ = [
     "SystemModel",
     "WorkloadRun",
     "compute_duration_cycles",
-    "configuration_names",
-    "get_configuration",
-    "iter_configurations",
-    "register_configuration",
-    "temporary_configuration",
-    "unregister_configuration",
     "conv2d_as_matmul",
     "conv2d_reference",
     "im2col",

@@ -4,7 +4,7 @@ A :class:`ConfigPipeline` declares everything :class:`~repro.core.system.
 SystemModel` needs to evaluate a workload under one configuration:
 
 * ``topology`` — which NoP backend carries the memory traffic (a name in
-  :mod:`repro.noc.registry`),
+  :data:`repro.noc.registry.BACKENDS`),
 * ``link_energy`` — which :class:`~repro.noc.energy.NetworkEnergyModel`
   accounting applies ("electrical", "optbus", or "flumen"),
 * ``compute_path`` — where the MACs run ("core" keeps all compute on the
@@ -12,17 +12,18 @@ SystemModel` needs to evaluate a workload under one configuration:
   fabric with the Algorithm 1 scheduler co-simulation).
 
 The five paper configurations (Figure 13's x-axis) register themselves
-below.  Adding a configuration — a new topology, a different energy
-model, another execution mode — is one :func:`register_configuration`
-call; ``SystemModel``, the sweep tasks, the trace runner, and the CLI
-all iterate this registry and need no edits.
+in :data:`CONFIGURATIONS` below.  Adding a configuration — a new
+topology, a different energy model, another execution mode — is one
+``CONFIGURATIONS.register(pipeline.name, pipeline)`` call;
+``SystemModel``, the sweep tasks, the trace runner, and the CLI all
+iterate this registry and need no edits.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
+
+from repro.registry import Registry
 
 #: Energy accountings NetworkEnergyModel.of() can dispatch to.
 LINK_ENERGY_KINDS = ("electrical", "optbus", "flumen")
@@ -39,7 +40,7 @@ class ConfigPipeline:
     link_energy: str = "electrical"
     compute_path: str = "core"
     #: Mesh arrangement for the photonic compute path (a
-    #: :mod:`repro.photonics.registry` name); ``None`` inherits
+    #: :data:`repro.photonics.registry.MESHES` name); ``None`` inherits
     #: ``SystemConfig.mesh_architecture``.
     mesh_architecture: str | None = None
 
@@ -53,72 +54,23 @@ class ConfigPipeline:
                 f"compute_path must be one of {COMPUTE_PATHS}, "
                 f"got {self.compute_path!r}")
         if self.mesh_architecture is not None:
-            from repro.photonics.registry import (
-                mesh_factory,  # validates the name, listing known ones
-            )
-            mesh_factory(self.mesh_architecture)
+            from repro.photonics.registry import MESHES
+            MESHES.get(self.mesh_architecture)  # raises listing known ones
 
 
-_PIPELINES: dict[str, ConfigPipeline] = {}
-
-
-def register_configuration(pipeline: ConfigPipeline,
-                           *, replace: bool = False) -> ConfigPipeline:
-    """Add one configuration to the registry (error on duplicates)."""
-    if not replace and pipeline.name in _PIPELINES:
-        raise ValueError(f"configuration {pipeline.name!r} is already "
-                         f"registered; pass replace=True to override")
-    _PIPELINES[pipeline.name] = pipeline
-    return pipeline
-
-
-def unregister_configuration(name: str) -> None:
-    """Remove a configuration (primarily for test cleanup)."""
-    _PIPELINES.pop(name, None)
-
-
-def get_configuration(name: str) -> ConfigPipeline:
-    """Look up one configuration, or raise listing what exists."""
-    try:
-        return _PIPELINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown configuration {name!r}; "
-            f"known: {configuration_names()}") from None
-
-
-def configuration_names() -> tuple[str, ...]:
-    """Registered configuration names, in registration order."""
-    return tuple(_PIPELINES)
-
-
-def iter_configurations() -> Iterator[ConfigPipeline]:
-    """Iterate the registered pipelines in registration order."""
-    return iter(tuple(_PIPELINES.values()))
-
-
-@contextmanager
-def temporary_configuration(pipeline: ConfigPipeline) -> Iterator[None]:
-    """Register a configuration for the duration of a ``with`` block."""
-    register_configuration(pipeline)
-    try:
-        yield
-    finally:
-        unregister_configuration(pipeline.name)
-
+#: configuration name -> :class:`ConfigPipeline`, in the paper's order.
+CONFIGURATIONS: Registry[ConfigPipeline] = Registry("configuration")
 
 # -- the five paper configurations (Figures 13-15) ---------------------------
 
-register_configuration(ConfigPipeline(
-    name="ring", topology="ring", link_energy="electrical"))
-register_configuration(ConfigPipeline(
-    name="mesh", topology="mesh", link_energy="electrical"))
-register_configuration(ConfigPipeline(
-    name="optbus", topology="optbus", link_energy="optbus"))
-#: Flumen-I: the MZIM fabric used for interconnect only.
-register_configuration(ConfigPipeline(
-    name="flumen_i", topology="flumen", link_energy="flumen"))
-#: Flumen-A: interconnect plus matmul offload onto the MZIM compute path.
-register_configuration(ConfigPipeline(
-    name="flumen_a", topology="flumen", link_energy="flumen",
-    compute_path="mzim"))
+for _pipeline in (
+    ConfigPipeline(name="ring", topology="ring", link_energy="electrical"),
+    ConfigPipeline(name="mesh", topology="mesh", link_energy="electrical"),
+    ConfigPipeline(name="optbus", topology="optbus", link_energy="optbus"),
+    # Flumen-I: the MZIM fabric used for interconnect only.
+    ConfigPipeline(name="flumen_i", topology="flumen", link_energy="flumen"),
+    # Flumen-A: interconnect plus matmul offload onto the MZIM compute path.
+    ConfigPipeline(name="flumen_a", topology="flumen", link_energy="flumen",
+                   compute_path="mzim"),
+):
+    CONFIGURATIONS.register(_pipeline.name, _pipeline)

@@ -39,7 +39,7 @@ from repro.core.control_unit import ComputeRequest, MZIMControlUnit
 from repro.core.scheduler import FlumenScheduler, electrical_duration_cycles
 from repro.faults.injector import FaultInjector
 from repro.faults.ladder import BackoffPolicy
-from repro.faults.models import FaultSchedule, fault_class, registered_faults
+from repro.faults.models import FAULTS, FaultSchedule
 from repro.faults.recovery import NOMINAL_RECEIVED_POWER_W, FabricRecovery
 from repro.noc.simulation import make_network
 from repro.noc.traffic import TrafficGenerator
@@ -81,13 +81,13 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         if self.fault != NO_FAULT:
-            fault_class(self.fault)  # raises with the registered list
+            FAULTS.get(self.fault)  # raises listing the known kinds
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.cycles < 64:
             raise ValueError(f"cycles must be >= 64, got {self.cycles}")
-        from repro.photonics.registry import mesh_factory
-        mesh_factory(self.mesh_architecture)  # raises listing known names
+        from repro.photonics.registry import MESHES
+        MESHES.get(self.mesh_architecture)  # raises listing known names
 
     def to_dict(self) -> dict:
         record = dataclasses.asdict(self)
@@ -95,8 +95,12 @@ class CampaignSpec:
 
 
 def campaign_fault_kinds() -> tuple[str, ...]:
-    """Fault kinds a default campaign covers: controls plus registry."""
-    return (NO_FAULT, *registered_faults())
+    """Fault kinds a default campaign covers: controls plus registry.
+
+    Sorted, not registration order: this fixes the default campaign and
+    the order of its artifact rows.
+    """
+    return (NO_FAULT, *sorted(FAULTS.names()))
 
 
 def _error_enob(error: float) -> float:

@@ -1,11 +1,11 @@
 """Fault models and the fault registry (DESIGN.md §12).
 
 Each fault class is a frozen dataclass describing one physical failure
-mode of the Flumen fabric; the registry mirrors
-:mod:`repro.noc.registry` so experiments (and tests) can plug in new
-fault kinds without editing this module.  The built-in taxonomy follows
-the reliability literature for MZI accelerators (Al-Qadasi et al.) and
-chip-to-chip photonic interconnects:
+mode of the Flumen fabric, named by its ``kind``; :data:`FAULTS` (a
+:class:`~repro.registry.Registry`) maps kinds to classes so experiments
+(and tests) can plug in new fault kinds without editing this module.
+The built-in taxonomy follows the reliability literature for MZI
+accelerators (Al-Qadasi et al.) and chip-to-chip photonic interconnects:
 
 ``stuck_mzi``
     A phase shifter frozen at a fixed ``theta`` (bar state by default) —
@@ -27,7 +27,6 @@ untouched (the golden-numbers tests stay byte-identical).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Iterator
@@ -35,6 +34,7 @@ from typing import TYPE_CHECKING, ClassVar, Iterator
 import numpy as np
 
 from repro.photonics.devices import BAR_THETA
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.faults.injector import FaultDomain
@@ -43,7 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 class FaultModel:
     """Base class for injectable faults.
 
-    Subclasses are frozen dataclasses registered under a ``kind`` name.
+    Subclasses are frozen dataclasses registered in :data:`FAULTS` under
+    their ``kind``.
     ``inject`` applies the fault to a :class:`FaultDomain` once;
     continuous faults (``continuous = True``) additionally receive
     ``step`` calls every ``interval_cycles`` after injection.
@@ -79,80 +80,8 @@ class FaultModel:
                 for k, v in dataclasses.asdict(self).items()}
 
 
-# -- registry (mirrors repro.noc.registry) -------------------------------
-
-_FAULTS: dict[str, type[FaultModel]] = {}
-
-
-def register_fault(kind: str, cls: type[FaultModel] | None = None, *,
-                   replace: bool = False):
-    """Register a fault class under ``kind``; usable as a decorator.
-
-    Registering an already-taken kind raises unless ``replace=True`` —
-    silent shadowing would make campaign specs ambiguous.
-    """
-    def apply(target: type[FaultModel]) -> type[FaultModel]:
-        if not replace and kind in _FAULTS:
-            raise ValueError(
-                f"fault kind {kind!r} already registered "
-                f"({_FAULTS[kind].__name__}); pass replace=True to shadow")
-        target.kind = kind
-        _FAULTS[kind] = target
-        return target
-
-    if cls is None:
-        return apply
-    return apply(cls)
-
-
-def unregister_fault(kind: str) -> type[FaultModel]:
-    """Remove and return a registered fault class."""
-    try:
-        return _FAULTS.pop(kind)
-    except KeyError:
-        raise ValueError(
-            f"fault kind {kind!r} is not registered; "
-            f"registered: {registered_faults()}") from None
-
-
-def fault_class(kind: str) -> type[FaultModel]:
-    """Look up a fault class; unknown kinds list the live registry."""
-    try:
-        return _FAULTS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown fault kind {kind!r}; "
-            f"registered: {registered_faults()}") from None
-
-
-def make_fault(kind: str, **params: object) -> FaultModel:
-    """Instantiate a registered fault with explicit parameters."""
-    return fault_class(kind)(**params)  # type: ignore[call-arg]
-
-
-def registered_faults() -> tuple[str, ...]:
-    """Registered fault kinds, sorted for stable messages/artifacts."""
-    return tuple(sorted(_FAULTS))
-
-
-@contextlib.contextmanager
-def temporary_fault(kind: str,
-                    cls: type[FaultModel]) -> Iterator[type[FaultModel]]:
-    """Register a fault for the duration of a ``with`` block (tests)."""
-    previous = _FAULTS.get(kind)
-    register_fault(kind, cls, replace=True)
-    try:
-        yield cls
-    finally:
-        if previous is None:
-            _FAULTS.pop(kind, None)
-        else:
-            _FAULTS[kind] = previous
-
-
 # -- built-in fault taxonomy ---------------------------------------------
 
-@register_fault("stuck_mzi")
 @dataclass(frozen=True)
 class StuckMZI(FaultModel):
     """One or more MZIs frozen at a fixed ``theta`` (bar by default).
@@ -163,6 +92,7 @@ class StuckMZI(FaultModel):
     shrinking the partition onto fault-free columns.
     """
 
+    kind: ClassVar[str] = "stuck_mzi"
     mzi_index: int = 0
     theta: float = BAR_THETA
     count: int = 1
@@ -187,7 +117,6 @@ class StuckMZI(FaultModel):
             .with_magnitude(magnitude)
 
 
-@register_fault("phase_drift")
 @dataclass(frozen=True)
 class PhaseDrift(FaultModel):
     """Brownian phase drift: every shifter random-walks in theta/phi.
@@ -198,6 +127,7 @@ class PhaseDrift(FaultModel):
     re-calibration (the offsets are movable, unlike a stuck device).
     """
 
+    kind: ClassVar[str] = "phase_drift"
     sigma_rad: float = 0.02
     continuous: ClassVar[bool] = True
     interval_cycles: ClassVar[int] = 32
@@ -216,7 +146,6 @@ class PhaseDrift(FaultModel):
             self, sigma_rad=self.sigma_rad * magnitude)
 
 
-@register_fault("laser_degradation")
 @dataclass(frozen=True)
 class LaserDegradation(FaultModel):
     """Laser power decay and dead WDM wavelengths.
@@ -227,6 +156,7 @@ class LaserDegradation(FaultModel):
     ``m=3`` is unrecoverable photonically (electrical fallback).
     """
 
+    kind: ClassVar[str] = "laser_degradation"
     power_fraction: float = 0.1
     dead_wavelengths: int = 0
 
@@ -241,7 +171,6 @@ class LaserDegradation(FaultModel):
             self, power_fraction=10.0 ** (-magnitude))
 
 
-@register_fault("dead_link")
 @dataclass(frozen=True)
 class DeadLink(FaultModel):
     """A broken interposer path between one (src, dst) endpoint pair.
@@ -252,6 +181,7 @@ class DeadLink(FaultModel):
     Magnitude scales the detour penalty.
     """
 
+    kind: ClassVar[str] = "dead_link"
     src: int = 0
     dst: int = 1
     detour_cycles: int = 6
@@ -273,6 +203,17 @@ class DeadLink(FaultModel):
         src = int(rng.integers(nodes))
         dst = int((src + 1 + rng.integers(nodes - 1)) % nodes)
         return cls(src=src, dst=dst).with_magnitude(magnitude)
+
+
+#: fault kind -> :class:`FaultModel` subclass.
+FAULTS: Registry[type[FaultModel]] = Registry("fault kind")
+for _fault in (StuckMZI, PhaseDrift, LaserDegradation, DeadLink):
+    FAULTS.register(_fault.kind, _fault)
+
+
+def make_fault(kind: str, **params: object) -> FaultModel:
+    """Instantiate a registered fault with explicit parameters."""
+    return FAULTS.get(kind)(**params)  # type: ignore[call-arg]
 
 
 # -- seeded schedules -----------------------------------------------------
@@ -320,7 +261,7 @@ class FaultSchedule:
         hi = max(window_cycles // 2, lo + 1)
         events = []
         for kind in kinds:
-            klass = fault_class(kind)
+            klass = FAULTS.get(kind)
             for _ in range(count_per_kind):
                 cycle = int(rng.integers(lo, hi))
                 fault = klass.seeded(rng, ports=ports, nodes=nodes,

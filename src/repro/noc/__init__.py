@@ -18,13 +18,7 @@ from repro.noc.kernel import SimKernel
 from repro.noc.network import Network
 from repro.noc.optbus import OptBusNetwork
 from repro.noc.packet import Flit, Packet, reset_packet_ids
-from repro.noc.registry import (
-    backend_factory,
-    register_backend,
-    registered_topologies,
-    temporary_backend,
-    unregister_backend,
-)
+from repro.noc.registry import BACKENDS
 from repro.noc.router import Router, VCState
 from repro.noc.simulation import (
     TOPOLOGIES,
@@ -51,6 +45,7 @@ from repro.noc.traffic import (
 )
 
 __all__ = [
+    "BACKENDS",
     "DEFAULT_RECONFIG_CYCLES",
     "EnergyReport",
     "Flit",
@@ -77,17 +72,12 @@ __all__ = [
     "UtilizationTracker",
     "VCState",
     "WavefrontArbiter",
-    "backend_factory",
     "load_sweep",
     "make_network",
     "make_pattern",
     "make_topology",
-    "register_backend",
-    "registered_topologies",
     "reset_packet_ids",
     "run_point",
     "saturation_load",
-    "temporary_backend",
-    "unregister_backend",
     "zero_load_latency",
 ]

@@ -60,21 +60,16 @@ class OptBusNetwork(SimKernel):
         self._active: list[_BusCircuit | None] = [None] * nodes
         #: Cycles of setup delay left before an active circuit transmits.
         self._setup_left = [0] * nodes
-        #: Buses with a live circuit / sources with queued packets; the
-        #: per-cycle scans only visit these (idle entries are no-ops).
-        self._active_buses: set[int] = set()
-        self._waiting_sources: set[int] = set()
 
     def _enqueue(self, packet: Packet) -> None:
         self.source_queues[packet.src].append(packet)
-        self._waiting_sources.add(packet.src)
 
     def step(self) -> None:
         busy = 0
-        # 1. Advance active circuits (ascending bus order, matching the
-        #    full scan, so delivery/trace ordering is unchanged).
-        for bus in sorted(self._active_buses):
-            circuit = self._active[bus]
+        # 1. Advance active circuits in ascending bus order.
+        for bus, circuit in enumerate(self._active):
+            if circuit is None:
+                continue
             if self._setup_left[bus] > 0:
                 self._setup_left[bus] -= 1
                 continue
@@ -86,13 +81,12 @@ class OptBusNetwork(SimKernel):
                 delivered = self.cycle + self.propagation_delay
                 self._deliver(circuit.packet, delivered, f"bus{bus}")
                 self._active[bus] = None
-                self._active_buses.discard(bus)
-        # 2. Arbitrate free buses among heads of source queues.  Sorted
-        #    waiting sources reproduce the full scan's dict insertion
-        #    order, so per-bus request lines and grants are identical.
+        # 2. Arbitrate free buses among heads of source queues.
         requests_per_bus: dict[int, list[bool]] = {}
-        for src in sorted(self._waiting_sources):
-            dst = self.source_queues[src][0].dst
+        for src, queue in enumerate(self.source_queues):
+            if not queue:
+                continue
+            dst = queue[0].dst
             if self._active[dst] is None:
                 requests_per_bus.setdefault(dst, [False] * self.nodes)
                 requests_per_bus[dst][src] = True
@@ -101,12 +95,9 @@ class OptBusNetwork(SimKernel):
             if winner is None:
                 continue
             packet = self.source_queues[winner].popleft()
-            if not self.source_queues[winner]:
-                self._waiting_sources.discard(winner)
             self._active[bus] = _BusCircuit(
                 packet=packet, remaining_flits=packet.size_flits)
             self._setup_left[bus] = self.arbitration_delay
-            self._active_buses.add(bus)
         self.utilization.record_cycle(busy)
         self.cycle += 1
 

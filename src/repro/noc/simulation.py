@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.noc.registry import backend_factory
+from repro.noc.registry import BACKENDS
 from repro.noc.stats import SimulationResult
 from repro.noc.traffic import TrafficGenerator
 
 #: The paper's built-in topologies (Figure 10).  The authoritative set is
-#: the backend registry — use :func:`registered_topologies` for anything
+#: the backend registry — use ``BACKENDS.names()`` for anything
 #: that must see plugged-in backends too.
 TOPOLOGIES = ("ring", "mesh", "optbus", "flumen")
 
@@ -30,7 +30,7 @@ def make_network(name: str, nodes: int = 16,
     suite and byte-identity checks use this), ``True`` requires the
     vectorized twin.
     """
-    return backend_factory(name, vectorized=vectorized)(nodes, **kwargs)
+    return BACKENDS.get(name, vectorized=vectorized)(nodes, **kwargs)
 
 
 @dataclass(frozen=True)

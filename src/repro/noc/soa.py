@@ -24,7 +24,7 @@ oracle's delivered packets, per-flit latency samples, counters, cycle
 counts, and trace event order *exactly*.  ``tests/test_soa_kernel.py``
 pins that equivalence property over random traffic; the registry serves
 the SoA twin by default and the oracle on request
-(``backend_factory(name, vectorized=False)``).  Production code builds
+(``BACKENDS.get(name, vectorized=False)``).  Production code builds
 through the registry, so these twins carry its traffic.
 
 On top of the flat layout, the SoA backends opt into the kernel's idle

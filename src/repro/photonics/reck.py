@@ -92,9 +92,9 @@ def depth_comparison(n: int,
     cross-size comparisons statistically meaningless.
     """
     from repro.photonics.clements import random_unitary
-    from repro.photonics.registry import make_mesh, registered_meshes
+    from repro.photonics.registry import MESHES, make_mesh
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(0 if rng is None else rng)
     u = random_unitary(n, rng)
     return {name: make_mesh(name).decompose(u).num_columns
-            for name in registered_meshes()}
+            for name in MESHES.names()}

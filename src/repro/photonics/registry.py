@@ -1,16 +1,17 @@
 """Registry of mesh architectures (the photonic twin of ``noc/registry``).
 
-Maps an architecture name to a factory ``(**kwargs) -> MeshArchitecture``.
-The SVD programmer, the Flumen fabric, the calibration loop, the fault
-campaign, the sweep tasks and the CLIs all resolve architectures here, so
-adding a mesh arrangement is one :func:`register_mesh` call — no edits to
-the decomposition call sites, the energy model, or the sweeps.
+:data:`MESHES` maps an architecture name to a factory
+``(**kwargs) -> MeshArchitecture``.  The SVD programmer, the Flumen
+fabric, the calibration loop, the fault campaign, the sweep tasks and the
+CLIs all resolve architectures here, so adding a mesh arrangement is one
+``MESHES.register`` call — no edits to the decomposition call sites, the
+energy model, or the sweeps.
 
 Each name may carry **two** factories: the per-MZI reference
 implementation (the bit-identity *oracle*) and a columnized
 ``vectorized=True`` twin.  Dispatch prefers the vectorized factory when
 one exists — callers are none the wiser — while
-``mesh_factory(name, vectorized=False)`` always reaches the oracle,
+``MESHES.get(name, vectorized=False)`` always reaches the oracle,
 which is how the equivalence suite pins the two implementations against
 each other (the same split DESIGN.md §13 established for the NoP
 kernels).
@@ -29,13 +30,13 @@ this module import-cycle-free and cheap to load.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.photonics.clements import MZIMesh, _reference_trace_hops
+from repro.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -133,73 +134,9 @@ class MeshArchitecture:
         return self.passes_fn(n)
 
 
-#: name -> [oracle factory | None, vectorized factory | None].
-_MESHES: dict[str, list[Callable | None]] = {}
-
-
-def register_mesh(name: str, factory: Callable | None = None,
-                  *, vectorized: bool = False, replace: bool = False):
-    """Register a mesh-architecture factory under ``name``.
-
-    Usable directly (``register_mesh("clements", make_clements)``) or as
-    a decorator (``@register_mesh("clements")``).  ``vectorized=True``
-    registers the columnized twin, which becomes the default dispatch
-    for the name; the plain registration remains reachable as the oracle
-    via ``mesh_factory(name, vectorized=False)``.  Re-registering an
-    existing slot raises unless ``replace=True``.
-    """
-    slot = 1 if vectorized else 0
-
-    def _register(fn: Callable) -> Callable:
-        entry = _MESHES.setdefault(name, [None, None])
-        if not replace and entry[slot] is not None:
-            kind = "vectorized" if vectorized else "reference"
-            raise ValueError(f"{kind} mesh architecture {name!r} is already "
-                             f"registered; pass replace=True to override")
-        entry[slot] = fn
-        return fn
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def unregister_mesh(name: str, *, vectorized: bool | None = None) -> None:
-    """Remove a mesh architecture (primarily for test cleanup).
-
-    By default both slots go; pass ``vectorized`` to drop just one.
-    """
-    if vectorized is None:
-        _MESHES.pop(name, None)
-        return
-    entry = _MESHES.get(name)
-    if entry is not None:
-        entry[1 if vectorized else 0] = None
-        if entry[0] is None and entry[1] is None:
-            del _MESHES[name]
-
-
-def mesh_factory(name: str, vectorized: bool | None = None) -> Callable:
-    """Look up one architecture factory, or raise listing what exists.
-
-    ``vectorized=None`` (the default) prefers the vectorized factory
-    and falls back to the oracle; ``True`` requires the vectorized one;
-    ``False`` requires the oracle.
-    """
-    try:
-        entry = _MESHES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown mesh architecture {name!r}; "
-            f"known: {registered_meshes()}") from None
-    if vectorized is None:
-        factory = entry[1] if entry[1] is not None else entry[0]
-    else:
-        factory = entry[1] if vectorized else entry[0]
-    if factory is None:
-        kind = "vectorized" if vectorized else "reference"
-        raise ValueError(
-            f"mesh architecture {name!r} has no {kind} implementation")
-    return factory
+#: architecture name -> ``(**kwargs) -> MeshArchitecture`` factory.
+MESHES: Registry[Callable[..., MeshArchitecture]] = Registry(
+    "mesh architecture")
 
 
 def make_mesh(name: str | MeshArchitecture,
@@ -208,29 +145,7 @@ def make_mesh(name: str | MeshArchitecture,
     """Resolve an architecture by name (an instance passes through)."""
     if isinstance(name, MeshArchitecture):
         return name
-    return mesh_factory(name, vectorized=vectorized)(**kwargs)
-
-
-def has_vectorized_mesh(name: str) -> bool:
-    """True when ``name`` has a registered vectorized twin."""
-    entry = _MESHES.get(name)
-    return entry is not None and entry[1] is not None
-
-
-def registered_meshes() -> tuple[str, ...]:
-    """Names of every registered architecture, in registration order."""
-    return tuple(_MESHES)
-
-
-@contextmanager
-def temporary_mesh(name: str, factory: Callable,
-                   *, vectorized: bool = False) -> Iterator[None]:
-    """Register a mesh architecture for the duration of a ``with`` block."""
-    register_mesh(name, factory, vectorized=vectorized)
-    try:
-        yield
-    finally:
-        unregister_mesh(name, vectorized=vectorized)
+    return MESHES.get(name, vectorized=vectorized)(**kwargs)
 
 
 # -- the three architectures ------------------------------------------------
@@ -250,12 +165,12 @@ def _clements(vectorized: bool) -> MeshArchitecture:
     )
 
 
-@register_mesh("clements")
+@MESHES.register("clements")
 def _make_clements(**kwargs) -> MeshArchitecture:
     return _clements(vectorized=False)
 
 
-@register_mesh("clements", vectorized=True)
+@MESHES.register("clements", vectorized=True)
 def _make_clements_vec(**kwargs) -> MeshArchitecture:
     return _clements(vectorized=True)
 
@@ -271,12 +186,12 @@ def _reck(vectorized: bool) -> MeshArchitecture:
     )
 
 
-@register_mesh("reck")
+@MESHES.register("reck")
 def _make_reck(**kwargs) -> MeshArchitecture:
     return _reck(vectorized=False)
 
 
-@register_mesh("reck", vectorized=True)
+@MESHES.register("reck", vectorized=True)
 def _make_reck_vec(**kwargs) -> MeshArchitecture:
     return _reck(vectorized=True)
 
@@ -299,11 +214,11 @@ def _bricks(vectorized: bool) -> MeshArchitecture:
     )
 
 
-@register_mesh("bricks")
+@MESHES.register("bricks")
 def _make_bricks(**kwargs) -> MeshArchitecture:
     return _bricks(vectorized=False)
 
 
-@register_mesh("bricks", vectorized=True)
+@MESHES.register("bricks", vectorized=True)
 def _make_bricks_vec(**kwargs) -> MeshArchitecture:
     return _bricks(vectorized=True)

@@ -13,6 +13,7 @@ standard telemetry server.  See DESIGN.md §17.
 
 from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.arrivals import (
+    ARRIVALS,
     Arrival,
     ArrivalProcess,
     BurstyArrivals,
@@ -20,9 +21,6 @@ from repro.serve.arrivals import (
     DiurnalArrivals,
     PoissonArrivals,
     make_arrival,
-    register_arrival,
-    registered_arrivals,
-    temporary_arrival,
 )
 from repro.serve.cluster import (
     ClusterTelemetryStore,
@@ -39,6 +37,7 @@ from repro.serve.daemon import (
 from repro.serve.live import LiveTelemetryStore
 
 __all__ = [
+    "ARRIVALS",
     "AdmissionController",
     "Arrival",
     "ArrivalProcess",
@@ -55,9 +54,6 @@ __all__ = [
     "ServeDaemon",
     "TokenBucket",
     "make_arrival",
-    "register_arrival",
-    "registered_arrivals",
     "shard_configs",
     "shard_tenants",
-    "temporary_arrival",
 ]

@@ -9,10 +9,10 @@ turns one profile into per-tenant Poisson request counts (the standard
 stand-in for a large independent user population), all derived from the
 session seed.
 
-Processes live in a registry shaped like :mod:`repro.noc.registry` and
-:mod:`repro.faults.models`: look up by name (``make_arrival``), extend
-with ``register_arrival``, and patch temporarily in tests with
-``temporary_arrival``.
+Processes live in :data:`ARRIVALS` (a :class:`~repro.registry.Registry`):
+build one by name with ``make_arrival``, extend with
+``ARRIVALS.register``, and patch temporarily in tests with
+``ARRIVALS.temporary``.
 
 Determinism contract: every draw comes from per-tenant
 ``np.random.default_rng`` generators seeded via
@@ -24,49 +24,13 @@ of ``(seed, tenants, process, rate, mvm_fraction, nodes)``.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from repro.analysis.engine import point_seed
-
-_ARRIVALS: dict[str, Callable[..., "ArrivalProcess"]] = {}
-
-
-def register_arrival(name: str,
-                     factory: Callable[..., "ArrivalProcess"]) -> None:
-    """Register an arrival-process factory under ``name``."""
-    if name in _ARRIVALS:
-        raise ValueError(f"arrival process {name!r} already registered")
-    _ARRIVALS[name] = factory
-
-
-def registered_arrivals() -> tuple[str, ...]:
-    """Names of every registered arrival process, sorted."""
-    return tuple(sorted(_ARRIVALS))
-
-
-def make_arrival(name: str, **kwargs: object) -> "ArrivalProcess":
-    """Instantiate a registered arrival process by name."""
-    factory = _ARRIVALS.get(name)
-    if factory is None:
-        raise ValueError(f"unknown arrival process {name!r}; "
-                         f"known: {list(registered_arrivals())}")
-    return factory(**kwargs)
-
-
-@contextmanager
-def temporary_arrival(name: str,
-                      factory: Callable[..., "ArrivalProcess"]
-                      ) -> Iterator[None]:
-    """Register an arrival process for the duration of a ``with`` block."""
-    register_arrival(name, factory)
-    try:
-        yield
-    finally:
-        del _ARRIVALS[name]
+from repro.registry import Registry
 
 
 class ArrivalProcess:
@@ -145,9 +109,17 @@ class DiurnalArrivals(ArrivalProcess):
         return max(0.0, 1.0 + self.amplitude * math.sin(phase))
 
 
-register_arrival("poisson", PoissonArrivals)
-register_arrival("bursty", BurstyArrivals)
-register_arrival("diurnal", DiurnalArrivals)
+#: process name -> ``(**kwargs) -> ArrivalProcess`` factory.
+ARRIVALS: Registry[Callable[..., ArrivalProcess]] = Registry(
+    "arrival process")
+ARRIVALS.register("poisson", PoissonArrivals)
+ARRIVALS.register("bursty", BurstyArrivals)
+ARRIVALS.register("diurnal", DiurnalArrivals)
+
+
+def make_arrival(name: str, **kwargs: object) -> ArrivalProcess:
+    """Instantiate a registered arrival process by name."""
+    return ARRIVALS.get(name)(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from repro.core.control_unit import ComputeRequest, MZIMControlUnit
 from repro.core.scheduler import FlumenScheduler
 from repro.faults.injector import FaultInjector
 from repro.faults.ladder import BackoffPolicy
-from repro.faults.models import FaultSchedule, fault_class
+from repro.faults.models import FAULTS, FaultSchedule
 from repro.faults.recovery import FabricRecovery
 from repro.noc.packet import Packet
 from repro.noc.simulation import make_network
@@ -67,10 +67,10 @@ from repro.serve.admission import (
     precompute_decisions,
 )
 from repro.serve.arrivals import (
+    ARRIVALS,
     Arrival,
     ClientPopulation,
     make_arrival,
-    registered_arrivals,
 )
 
 #: Latency histogram buckets, in cycles (shared by mvm and comm series).
@@ -141,10 +141,7 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.duration < 1:
             raise ValueError(f"duration must be >= 1, got {self.duration}")
-        if self.arrival not in registered_arrivals():
-            raise ValueError(
-                f"unknown arrival process {self.arrival!r}; "
-                f"known: {list(registered_arrivals())}")
+        ARRIVALS.get(self.arrival)  # raises listing the known processes
         if self.tenant_list is not None:
             roster = tuple(str(t) for t in self.tenant_list)
             if not roster:
@@ -162,8 +159,25 @@ class ServeConfig:
         if self.batch_window < 1:
             raise ValueError(
                 f"batch_window must be >= 1, got {self.batch_window}")
+        if self.admission_rate <= 0.0:
+            raise ValueError(
+                f"admission_rate must be > 0, got {self.admission_rate}")
+        if self.admission_burst < 1.0:
+            raise ValueError(
+                f"admission_burst must be >= 1, got {self.admission_burst}")
+        fabric_ports = SystemConfig().mzim_ports
+        if self.mvm_ports > fabric_ports:
+            raise ValueError(
+                f"ports={self.ports} sizes MVM requests at "
+                f"{self.mvm_ports} ports (ports // 4), more than the "
+                f"{fabric_ports}-port fabric can ever place")
         if self.fault is not None:
-            fault_class(self.fault)  # raises with the registered list
+            FAULTS.get(self.fault)  # raises listing the known kinds
+
+    @property
+    def mvm_ports(self) -> int:
+        """Fabric ports one MVM batch request asks the scheduler for."""
+        return max(2, self.ports // 4)
 
     def tenant_names(self) -> tuple[str, ...]:
         """Stable tenant identifiers (``tenant0`` .. ``tenantN-1``).
@@ -440,7 +454,7 @@ class ServeDaemon:
             node=batch.requests[0].node, plan=plan,
             matrix_key=f"serve/{batch.tenant}",
             submit_cycle=self.cycle,
-            ports_needed=max(2, config.ports // 4),
+            ports_needed=config.mvm_ports,
             duration_override=duration,
             tenant=batch.tenant, request_id=request_id))
         self.control.requests_received += 1

@@ -26,6 +26,7 @@ from repro.core.control_unit import (
 )
 from repro.core.scheduler import FlumenScheduler
 from repro.faults import (
+    FAULTS,
     BackoffPolicy,
     DegradationLadder,
     FaultDomain,
@@ -34,11 +35,7 @@ from repro.faults import (
     FaultyMesh,
     Rung,
     StuckMZI,
-    fault_class,
     make_fault,
-    register_fault,
-    registered_faults,
-    temporary_fault,
 )
 from repro.faults.campaign import (
     CampaignSpec,
@@ -53,7 +50,7 @@ from repro.obs import Obs
 from repro.photonics.calibration import matrix_error
 from repro.photonics.clements import decompose, random_unitary
 from repro.photonics.devices import BAR_THETA
-from repro.photonics.registry import registered_meshes
+from repro.photonics.registry import MESHES
 
 
 class TestBackoffPolicy:
@@ -90,28 +87,28 @@ class TestBackoffPolicy:
 
 class TestFaultRegistry:
     def test_builtins_registered(self):
-        assert set(registered_faults()) >= {
+        assert set(FAULTS.names()) >= {
             "stuck_mzi", "phase_drift", "laser_degradation", "dead_link"}
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_fault("stuck_mzi", StuckMZI)
+        for kind in FAULTS.names():
+            assert FAULTS.get(kind).kind == kind
 
     def test_unknown_error_lists_registered_kinds(self):
         with pytest.raises(ValueError) as err:
-            fault_class("cosmic_ray")
-        for kind in registered_faults():
+            FAULTS.get("cosmic_ray")
+        for kind in FAULTS.names():
             assert kind in str(err.value)
 
     def test_temporary_fault_registers_and_restores(self):
         class Toy(StuckMZI):
             pass
 
-        with temporary_fault("toy_fault", Toy):
-            assert fault_class("toy_fault") is Toy
+        with FAULTS.temporary("toy_fault", Toy):
+            assert FAULTS.get("toy_fault") is Toy
             assert "toy_fault" in campaign_fault_kinds()
         with pytest.raises(ValueError):
-            fault_class("toy_fault")
+            FAULTS.get("toy_fault")
+        assert campaign_fault_kinds() == (
+            "none", *sorted(FAULTS.names()))
 
     def test_make_fault_passes_parameters(self):
         fault = make_fault("stuck_mzi", mzi_index=5, count=2)
@@ -127,7 +124,7 @@ class TestFaultRegistry:
 
 class TestFaultSchedule:
     def test_seeded_is_deterministic(self):
-        kinds = registered_faults()
+        kinds = FAULTS.names()
         a = FaultSchedule.seeded(kinds, 7, window_cycles=1000)
         b = FaultSchedule.seeded(kinds, 7, window_cycles=1000)
         assert a == b
@@ -135,7 +132,7 @@ class TestFaultSchedule:
 
     def test_injections_land_in_first_half(self):
         schedule = FaultSchedule.seeded(
-            registered_faults(), 3, window_cycles=800)
+            FAULTS.names(), 3, window_cycles=800)
         for event in schedule:
             assert 100 <= event.cycle < 400
 
@@ -424,7 +421,7 @@ RUNG_CASES = [
 ]
 
 
-@pytest.fixture(scope="module", params=registered_meshes())
+@pytest.fixture(scope="module", params=MESHES.names())
 def rung_records(request):
     records = {}
     for kind, magnitude, _ in RUNG_CASES:

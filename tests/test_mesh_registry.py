@@ -3,7 +3,7 @@
 Three layers of coverage (ISSUE 8 / DESIGN.md §16):
 
 * registry mechanics — the two-slot register/lookup/temporary contract
-  mirrored from ``noc/registry``;
+  of the shared :class:`~repro.registry.Registry`;
 * architecture properties — hypothesis-driven invariants every
   registrant must satisfy (unitarity, ``propagate == matrix @ a``,
   decompose∘matrix reconstruction, vectorized/oracle bit-identity),
@@ -20,18 +20,9 @@ from hypothesis import strategies as st
 
 from repro.photonics.bricks import bricks_depth, decompose_bricks
 from repro.photonics.clements import decompose, random_unitary
-from repro.photonics.registry import (
-    MeshArchitecture,
-    has_vectorized_mesh,
-    make_mesh,
-    mesh_factory,
-    register_mesh,
-    registered_meshes,
-    temporary_mesh,
-    unregister_mesh,
-)
+from repro.photonics.registry import MESHES, make_mesh
 
-ALL_MESHES = registered_meshes()
+ALL_MESHES = MESHES.names()
 
 
 def haar(n, seed):
@@ -51,11 +42,10 @@ class TestRegistrySemantics:
         with pytest.raises(ValueError, match="unknown mesh architecture"):
             make_mesh("moebius")
         with pytest.raises(ValueError, match="clements"):
-            mesh_factory("moebius")
+            MESHES.get("moebius")
 
     def test_every_builtin_has_both_slots(self):
         for name in ("clements", "reck", "bricks"):
-            assert has_vectorized_mesh(name)
             oracle = make_mesh(name, vectorized=False)
             twin = make_mesh(name, vectorized=True)
             assert not oracle.vectorized
@@ -71,33 +61,36 @@ class TestRegistrySemantics:
         def factory(**kwargs):
             return make_mesh("clements", vectorized=False)
 
-        with temporary_mesh("probe", factory):
-            assert "probe" in registered_meshes()
+        with MESHES.temporary("probe", factory):
+            assert "probe" in MESHES.names()
             assert make_mesh("probe").name == "clements"
-            assert not has_vectorized_mesh("probe")
-        assert "probe" not in registered_meshes()
+            with pytest.raises(ValueError, match="no vectorized"):
+                MESHES.get("probe", vectorized=True)
+        assert "probe" not in MESHES.names()
 
     def test_duplicate_registration_rejected(self):
         def factory(**kwargs):
             return make_mesh("clements")
 
-        with temporary_mesh("probe", factory):
+        with MESHES.temporary("probe", factory):
             with pytest.raises(ValueError, match="already registered"):
-                register_mesh("probe", factory)
+                MESHES.register("probe", factory)
             # The vectorized slot is independent — and removable alone.
-            register_mesh("probe", factory, vectorized=True)
-            assert has_vectorized_mesh("probe")
-            unregister_mesh("probe", vectorized=True)
-            assert not has_vectorized_mesh("probe")
+            MESHES.register("probe", factory, vectorized=True)
+            assert MESHES.get("probe", vectorized=True) is factory
+            MESHES.unregister("probe", vectorized=True)
+            with pytest.raises(ValueError, match="no vectorized"):
+                MESHES.get("probe", vectorized=True)
+            assert MESHES.get("probe", vectorized=False) is factory
 
     def test_missing_slot_error_names_the_kind(self):
         def factory(**kwargs):
             return make_mesh("clements", vectorized=True)
 
-        with temporary_mesh("vec-only", factory, vectorized=True):
+        with MESHES.temporary("vec-only", factory, vectorized=True):
             assert make_mesh("vec-only") is not None
             with pytest.raises(ValueError, match="no reference"):
-                mesh_factory("vec-only", vectorized=False)
+                MESHES.get("vec-only", vectorized=False)
 
 
 # ----------------------------------------------------------------------

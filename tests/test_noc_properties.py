@@ -8,13 +8,13 @@ topology, pattern, load, or seed.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc.registry import registered_topologies
+from repro.noc.registry import BACKENDS
 from repro.noc.simulation import make_network
 from repro.noc.traffic import TrafficGenerator
 
 
 @settings(max_examples=20, deadline=None)
-@given(topology=st.sampled_from(registered_topologies()),
+@given(topology=st.sampled_from(BACKENDS.names()),
        pattern=st.sampled_from(["uniform", "bit_reversal", "shuffle",
                                 "tornado", "neighbor"]),
        load=st.floats(min_value=0.02, max_value=0.35),

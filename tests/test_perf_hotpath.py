@@ -330,9 +330,11 @@ class TestActiveSetStepping:
         assert not net._waiting_sources
 
     def test_optbus_sets_drain(self):
-        from repro.noc.optbus import OptBusNetwork
+        # The active sets live on the SoA twin; the per-object
+        # OptBusNetwork oracle scans every bus and source each cycle.
+        from repro.noc.simulation import make_network
         from repro.noc.traffic import TrafficGenerator
-        net = OptBusNetwork(16)
+        net = make_network("optbus", 16)
         net.run(TrafficGenerator(16, "uniform", 0.2, seed=3),
                 cycles=400, drain=True)
         assert net.quiescent()

@@ -68,9 +68,9 @@ class TestDepthComparison:
             (small["reck"] - small["clements"])
 
     def test_covers_every_registered_mesh(self):
-        from repro.photonics.registry import registered_meshes
+        from repro.photonics.registry import MESHES
 
-        assert set(depth_comparison(8)) == set(registered_meshes())
+        assert set(depth_comparison(8)) == set(MESHES.names())
 
     def test_seed_controls_the_sample(self):
         # An int seed and an equally-seeded Generator agree, and the

@@ -1,11 +1,13 @@
-"""Tests for the NoC backend registry and the configuration pipelines.
+"""Tests for the shared registry, the NoC backends and the pipelines.
 
-Covers the refactor's contract: a new topology or system configuration
-plugs in via registration alone — through ``make_network``, through
-``SystemModel``, and through the ``python -m repro sweep`` CLI — with no
-edits to ``core/system.py``; unknown names fail listing exactly what is
-registered; and every registered backend satisfies the kernel's
-quiescence/conservation semantics on a finite offered trace.
+Covers the plug-in contract: every :class:`~repro.registry.Registry`
+instance rejects duplicates, honours ``replace``, lists its live names in
+order when a lookup fails, and scopes ``temporary`` entries; a new
+topology or system configuration plugs in via registration alone —
+through ``make_network``, through ``SystemModel``, and through the
+``python -m repro sweep`` CLI — with no edits to ``core/system.py``; and
+every registered backend satisfies the kernel's quiescence/conservation
+semantics on a finite offered trace.
 """
 
 import re
@@ -14,23 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipelines import (
-    ConfigPipeline,
-    configuration_names,
-    get_configuration,
-    register_configuration,
-    temporary_configuration,
-)
+import repro.analysis.tasks  # noqa: F401  (registers the built-in tasks)
+from repro.analysis.engine import TASKS
+from repro.core.pipelines import CONFIGURATIONS, ConfigPipeline
 from repro.core.system import SystemModel
+from repro.faults.models import FAULTS
 from repro.noc.kernel import SimKernel
-from repro.noc.registry import (
-    register_backend,
-    registered_topologies,
-    temporary_backend,
-)
+from repro.noc.registry import BACKENDS
 from repro.noc.simulation import make_network
 from repro.noc.traffic import TracePlayback
 from repro.obs import NULL_OBS
+from repro.photonics.registry import MESHES
+from repro.serve.arrivals import ARRIVALS
 from repro.workloads import Rotation3D
 
 
@@ -84,9 +81,44 @@ IDEAL_PIPELINE = ConfigPipeline(name="ideal", topology="ideal",
                                 link_energy="electrical")
 
 
+REGISTRIES = {"backends": BACKENDS, "meshes": MESHES, "faults": FAULTS,
+              "arrivals": ARRIVALS, "configurations": CONFIGURATIONS,
+              "tasks": TASKS}
+
+
+@pytest.mark.parametrize("registry", REGISTRIES.values(), ids=REGISTRIES)
+def test_registry_contract(registry):
+    names = registry.names()
+    first = names[0]
+    entry = registry.get(first, vectorized=False)
+    sentinel = object()
+    # Duplicates are rejected; replace=True overwrites.
+    with pytest.raises(ValueError, match="already registered"):
+        registry.register(first, entry)
+    with registry.temporary("probe", entry):
+        registry.register("probe", sentinel, replace=True)
+        assert registry.get("probe") is sentinel
+    # The unknown-name message lists the live names, in order.
+    with pytest.raises(ValueError) as err:
+        registry.get("no_such_name")
+    assert str(err.value) == (f"unknown {registry.kind} 'no_such_name'; "
+                              f"known: {names}")
+    # temporary adds a name, then removes it.
+    with registry.temporary("probe", entry):
+        assert registry.names() == (*names, "probe")
+        assert registry.get("probe") is entry
+    assert "probe" not in registry
+    # temporary shadows an existing name in place, then restores it.
+    with registry.temporary(first, sentinel):
+        assert registry.get(first, vectorized=False) is sentinel
+        assert registry.names() == names
+    assert registry.get(first, vectorized=False) is entry
+    assert registry.names() == names
+
+
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        assert set(registered_topologies()) >= {
+        assert set(BACKENDS.names()) >= {
             "ring", "mesh", "optbus", "flumen"}
 
     def test_unknown_error_lists_registered_names(self):
@@ -97,26 +129,27 @@ class TestBackendRegistry:
         message = str(err.value)
         listed = re.search(r"known: \((.*)\)", message).group(1)
         names = tuple(item.strip().strip("'") for item in listed.split(","))
-        assert names == registered_topologies()
+        assert names == BACKENDS.names()
+
+    def test_duplicate_registration_rejected(self):
+        with pytest.raises(ValueError, match="already registered"):
+            BACKENDS.register("ring", _make_ideal)
+
+    def test_replace_allows_override(self):
+        with BACKENDS.temporary("toy_repl", _make_ideal):
+            BACKENDS.register("toy_repl", _make_ideal, replace=True)
+            assert BACKENDS.get("toy_repl") is _make_ideal
 
     def test_error_reflects_temporary_registration(self):
-        with temporary_backend("toy_listed", _make_ideal):
+        with BACKENDS.temporary("toy_listed", _make_ideal):
             with pytest.raises(ValueError, match="toy_listed"):
                 make_network("nope", 16)
         with pytest.raises(ValueError) as err:
             make_network("nope", 16)
         assert "toy_listed" not in str(err.value)
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("ring", _make_ideal)
-
-    def test_replace_allows_override(self):
-        with temporary_backend("toy_repl", _make_ideal):
-            register_backend("toy_repl", _make_ideal, replace=True)
-
     def test_registered_backend_constructs_through_factory(self):
-        with temporary_backend("toy_net", _make_ideal):
+        with BACKENDS.temporary("toy_net", _make_ideal):
             net = make_network("toy_net", 8, delay=1)
             assert isinstance(net, IdealNetwork)
             assert net.nodes == 8
@@ -124,28 +157,28 @@ class TestBackendRegistry:
 
 class TestPipelineRegistry:
     def test_builtin_configurations(self):
-        assert configuration_names() == (
+        assert CONFIGURATIONS.names() == (
             "ring", "mesh", "optbus", "flumen_i", "flumen_a")
+        for name in CONFIGURATIONS.names():
+            assert CONFIGURATIONS.get(name).name == name
 
     def test_unknown_configuration_lists_registered(self):
         with pytest.raises(ValueError) as err:
-            get_configuration("torus")
-        for name in configuration_names():
+            CONFIGURATIONS.get("torus")
+        for name in CONFIGURATIONS.names():
             assert name in str(err.value)
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_configuration(ConfigPipeline(
-                name="mesh", topology="mesh"))
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError, match="link_energy"):
             ConfigPipeline(name="x", topology="mesh", link_energy="steam")
         with pytest.raises(ValueError, match="compute_path"):
             ConfigPipeline(name="x", topology="mesh", compute_path="gpu")
+        with pytest.raises(ValueError, match="unknown mesh architecture"):
+            ConfigPipeline(name="x", topology="mesh",
+                           mesh_architecture="moebius")
 
     def test_flumen_a_declares_mzim_compute(self):
-        pipeline = get_configuration("flumen_a")
+        pipeline = CONFIGURATIONS.get("flumen_a")
         assert pipeline.topology == "flumen"
         assert pipeline.compute_path == "mzim"
         assert pipeline.link_energy == "flumen"
@@ -156,8 +189,8 @@ class TestToyBackendEndToEnd:
 
     @pytest.fixture()
     def ideal_registered(self):
-        with temporary_backend("ideal", _make_ideal), \
-                temporary_configuration(IDEAL_PIPELINE):
+        with BACKENDS.temporary("ideal", _make_ideal), \
+                CONFIGURATIONS.temporary("ideal", IDEAL_PIPELINE):
             yield
 
     def test_system_model_runs_toy_configuration(self, ideal_registered):
@@ -170,7 +203,7 @@ class TestToyBackendEndToEnd:
 
     def test_run_all_includes_toy_configuration(self, ideal_registered):
         runs = SystemModel(traffic_seed=17).run_all(Rotation3D(vertices=34))
-        assert set(runs) == set(configuration_names())
+        assert set(runs) == set(CONFIGURATIONS.names())
         assert "ideal" in runs
 
     def test_sweep_cli_runs_toy_configuration(self, ideal_registered,
@@ -189,7 +222,7 @@ class TestToyBackendEndToEnd:
         assert records[0]["metrics"]["configuration"] == "ideal"
 
 
-@pytest.mark.parametrize("topology", registered_topologies())
+@pytest.mark.parametrize("topology", BACKENDS.names())
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
        npackets=st.integers(min_value=1, max_value=60),

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.__main__ import main
 from repro.obs import Obs, parse_exposition, validate_events
 from repro.serve import (
+    ARRIVALS,
     AdmissionController,
     ClientPopulation,
     DaemonState,
@@ -25,8 +26,6 @@ from repro.serve import (
     ServeDaemon,
     TokenBucket,
     make_arrival,
-    registered_arrivals,
-    temporary_arrival,
 )
 from repro.serve.arrivals import ArrivalProcess, BurstyArrivals, DiurnalArrivals
 
@@ -50,8 +49,8 @@ def _artifacts(daemon: ServeDaemon, report: dict) -> str:
 
 class TestArrivals:
     def test_registry_lists_builtins(self):
-        names = registered_arrivals()
-        assert {"poisson", "bursty", "diurnal"} <= set(names)
+        names = ARRIVALS.names()
+        assert names[:3] == ("poisson", "bursty", "diurnal")
         assert isinstance(make_arrival("poisson"), ArrivalProcess)
 
     def test_make_arrival_unknown_name(self):
@@ -63,10 +62,14 @@ class TestArrivals:
             def intensity(self, cycle):
                 return 2.0
 
-        with temporary_arrival("flat", Flat):
-            assert "flat" in registered_arrivals()
+        with ARRIVALS.temporary("flat", Flat):
+            assert "flat" in ARRIVALS.names()
             assert make_arrival("flat").intensity(0) == 2.0
-        assert "flat" not in registered_arrivals()
+        assert "flat" not in ARRIVALS.names()
+        # Shadowing a built-in restores it afterwards.
+        with ARRIVALS.temporary("poisson", Flat):
+            assert make_arrival("poisson").intensity(0) == 2.0
+        assert make_arrival("poisson").intensity(0) == 1.0
 
     def test_bursty_mean_preserving(self):
         proc = BurstyArrivals(period=512, duty=0.25, peak=4.0)
@@ -132,6 +135,35 @@ class TestAdmission:
         assert ctl.admit("a", 0)
         assert not ctl.admit("a", 0)
         assert ctl.admit("b", 0)  # b's bucket untouched by a's spend
+
+
+class TestServeConfigValidation:
+    """Configurations the session could never run fail at construction."""
+
+    @pytest.mark.parametrize("rate", [0.0, -0.5])
+    def test_admission_rate_must_be_positive(self, rate):
+        with pytest.raises(ValueError, match="admission_rate must be > 0"):
+            ServeConfig(admission_rate=rate)
+
+    @pytest.mark.parametrize("burst", [0.0, 0.5])
+    def test_admission_burst_at_least_one(self, burst):
+        with pytest.raises(ValueError, match="admission_burst must be >= 1"):
+            ServeConfig(admission_burst=burst)
+
+    def test_mvm_width_must_fit_the_fabric(self):
+        # MVM requests ask for max(2, ports // 4) fabric ports; the
+        # default fabric has SystemConfig().mzim_ports == 8 of them.
+        assert ServeConfig(ports=35).mvm_ports == 8
+        with pytest.raises(ValueError, match="8-port fabric"):
+            ServeConfig(ports=36)
+        with pytest.raises(ValueError, match="16 ports"):
+            ServeConfig(ports=64)
+
+    def test_unknown_names_list_the_registry(self):
+        with pytest.raises(ValueError, match="known: .*'poisson'"):
+            ServeConfig(arrival="tsunami")
+        with pytest.raises(ValueError, match="known: .*'stuck_mzi'"):
+            ServeConfig(fault="gamma_ray")
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +345,10 @@ class TestServeCLI:
         with pytest.raises(SystemExit):
             main(["serve", "--arrival", "tsunami"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["--admission-burst", "0"],
+                                      ["--ports", "64"]])
+    def test_serve_bad_config_exits_2(self, argv, caplog, capsys):
+        assert main(["serve", *argv]) == 2
+        assert "serve:" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err

@@ -13,16 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc.arbiter import RoundRobinArbiter, WavefrontArbiter
-from repro.noc.registry import (
-    backend_factory,
-    has_vectorized,
-    registered_topologies,
-)
+from repro.noc.registry import BACKENDS
 from repro.noc.simulation import make_network
 from repro.noc.stats import UtilizationTracker
 from repro.noc.traffic import TracePlayback, TrafficGenerator
 
-VECTORIZED = [t for t in registered_topologies() if has_vectorized(t)]
+def _has_twin(topology: str) -> bool:
+    try:
+        BACKENDS.get(topology, vectorized=True)
+    except ValueError:
+        return False
+    return True
+
+
+VECTORIZED = [t for t in BACKENDS.names() if _has_twin(t)]
 
 
 def _summary(net) -> dict:
@@ -57,16 +61,16 @@ ORACLE_ONLY = {"mesh_wf"}
 def test_every_vectorized_backend_is_registered():
     # Every topology ships a struct-of-arrays twin unless it is listed
     # in ORACLE_ONLY; a new topology without one must be listed there.
-    assert set(VECTORIZED) == set(registered_topologies()) - ORACLE_ONLY
-    assert not any(has_vectorized(t) for t in ORACLE_ONLY)
+    assert set(VECTORIZED) == set(BACKENDS.names()) - ORACLE_ONLY
+    assert not any(_has_twin(t) for t in ORACLE_ONLY)
 
 
 def test_backend_factory_prefers_vectorized():
     for topology in VECTORIZED:
-        oracle = backend_factory(topology, vectorized=False)
-        fast = backend_factory(topology, vectorized=True)
+        oracle = BACKENDS.get(topology, vectorized=False)
+        fast = BACKENDS.get(topology, vectorized=True)
         assert oracle is not fast
-        assert backend_factory(topology) is fast
+        assert BACKENDS.get(topology) is fast
 
 
 @settings(max_examples=20, deadline=None)

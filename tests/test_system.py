@@ -6,7 +6,8 @@ stays fast; the benchmarks run the paper shapes.
 
 import pytest
 
-from repro.core.system import CONFIGURATIONS, SystemModel
+from repro.core.pipelines import CONFIGURATIONS
+from repro.core.system import SystemModel
 from repro.workloads import ImageBlur, JPEGWorkload, Rotation3D, VGG16FC
 
 
@@ -26,7 +27,7 @@ class TestBasics:
             model.run(Rotation3D(vertices=34), "torus")
 
     def test_all_configurations_produce_results(self, blur_runs):
-        assert set(blur_runs) == set(CONFIGURATIONS)
+        assert set(blur_runs) == set(CONFIGURATIONS.names())
         for run in blur_runs.values():
             assert run.runtime_s > 0
             assert run.energy.total > 0
