@@ -112,12 +112,21 @@ def test_arbitration(benchmark):
         ["arbiter", "accepted flits/node/cycle @0.6 offered"],
         [[m, f"{v:.3f}"] for m, v in tp.items()],
         title="Ablation: wavefront vs sequential arbitration"))
-    # One grant per cycle caps sustained throughput near
-    # packet_size/nodes = 0.25 flits/node/cycle (measured slightly higher
-    # while the warmup backlog drains); the wavefront matches all pairs.
+    # Accepted rate = flits ejected in the 1400-cycle window (Booksim).
+    # Offered: bit reversal on 16 nodes maps 4 sources onto themselves
+    # and that traffic is dropped, so 0.6 * 12/16 = 0.45 is offered.
+    # Wavefront: a permutation is one conflict-free matching, so the
+    # fabric accepts what is offered.  Injection is Bernoulli at 0.15
+    # packets/source/cycle: ~2520 window packets, sigma ~1.8%; the band
+    # is ~4 sigma plus <= 16 circuits in flight at either window edge.
+    # Sequential: one grant (one 4-flit packet) per cycle caps it at
+    # 4/16 = 0.25, plus at most 16 packets granted before the window
+    # (one per reserved output) whose tails eject inside it.
+    nodes, window = 16, CONFIG.cycles - CONFIG.warmup
+    offered = 0.6 * 12 / nodes
+    assert 0.92 * offered <= tp["wavefront"] <= 1.08 * offered
+    assert tp["sequential"] <= 4 * (window + nodes) / (nodes * window)
     assert tp["wavefront"] > 1.5 * tp["sequential"]
-    assert tp["sequential"] < 0.45
-    assert tp["wavefront"] > 0.55
 
 
 def test_pipelined_setup(benchmark):

@@ -53,6 +53,9 @@ class ComputeRequest:
     #: the scheduler and control unit (the serve daemon's currency).
     tenant: str = "default"
     request_id: int = field(default_factory=lambda: next(_request_ids))
+    #: Set by the scheduler on the request's first deferral, which is
+    #: the only one that emits ``partition_defer``.
+    deferred: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ports_needed < 2 or self.ports_needed % 2:

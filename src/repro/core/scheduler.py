@@ -327,11 +327,18 @@ class FlumenScheduler:
         inside an evaluation.  A request wider than the widest free run
         is deferred without a first-fit scan; otherwise first-fit
         returns exactly the placement a per-request rebuild would.
+        Once the widest free run is below 2 ports no request can be
+        placed (every partition is >= 2 ports wide, after the ladder's
+        cap too), so the rest of the buffer is kept as it stands.
+
+        ``partition_defer`` (and its trace instant) records a state
+        change: it is emitted on a request's first deferral only, which
+        marks :attr:`ComputeRequest.deferred`; later deferrals emit
+        nothing, and ``partition_grant`` carries the total wait.
         Deferred requests keep their buffer order, the buffer (the same
         deque object) is rewritten once at the end, and the deferral
-        counters are added once per evaluation (nothing reads them
-        mid-tick), so grants, events and counters are byte-identical to
-        rescanning occupancy for every request.
+        counters still count every deferral, added once per evaluation
+        (nothing reads them mid-tick).
         """
         if self.ladder is not None and self.ladder.electrical_fallback:
             self._fallback_to_electrical()
@@ -344,22 +351,18 @@ class FlumenScheduler:
         widest = _widest_free_run(taken)
         kept: list[ComputeRequest] = []
         for request in buffer:
-            needed = self._effective_ports(request.ports_needed)
-            placement = (_first_fit(taken, needed) if needed <= widest
-                         else None)
+            placement = None
+            # A full fabric (no two adjacent free ports) places nothing,
+            # so the rest of the buffer is kept without a look.
+            if widest >= 2:
+                needed = self._effective_ports(request.ports_needed)
+                if needed <= widest:
+                    placement = _first_fit(taken, needed)
             if placement is None:
                 kept.append(request)
-                if self._events.enabled:
-                    self._events.emit(
-                        "partition_defer", self.cycle,
-                        tenant=request.tenant,
-                        request_id=request.request_id, reason="no_ports",
-                        ports_needed=request.ports_needed)
-                if self._tracer.enabled:
-                    self._tracer.instant(
-                        "core", "alg1", "partition_defer", self.cycle,
-                        request_id=request.request_id, reason="no_ports",
-                        ports_needed=request.ports_needed)
+                if not request.deferred:
+                    self._defer(request, "no_ports",
+                                ports_needed=request.ports_needed)
                 continue
             lo, hi = placement
             endpoints = self.control.port_range_endpoints(lo, hi)
@@ -378,18 +381,33 @@ class FlumenScheduler:
                 widest = _widest_free_run(taken)
             else:
                 kept.append(request)
-                if self._events.enabled:
-                    self._events.emit(
-                        "partition_defer", self.cycle,
-                        tenant=request.tenant,
-                        request_id=request.request_id, reason="beta",
-                        beta=round(beta, 6), eta=self.cfg.eta)
+                if not request.deferred:
+                    self._defer(request, "beta", beta=round(beta, 6),
+                                eta=self.cfg.eta)
         deferred = len(kept)
         self.stats.deferred_evaluations += deferred
         self._m_deferrals.inc(deferred)
         if deferred != len(buffer):
             buffer.clear()
             buffer.extend(kept)
+
+    def _defer(self, request: ComputeRequest, reason: str,
+               **payload: object) -> None:
+        """Mark and record ``request``'s first deferral (callers skip the
+        later ones, which emit nothing).
+
+        A ``beta`` deferral has no trace instant of its own: its
+        ``beta_eval`` instant already records the decision.
+        """
+        request.deferred = True
+        if self._events.enabled:
+            self._events.emit(
+                "partition_defer", self.cycle, tenant=request.tenant,
+                request_id=request.request_id, reason=reason, **payload)
+        if self._tracer.enabled and reason == "no_ports":
+            self._tracer.instant(
+                "core", "alg1", "partition_defer", self.cycle,
+                request_id=request.request_id, reason=reason, **payload)
 
     def _port_occupancy(self) -> list[bool]:
         """Per fabric port: held by an active partition or retired by

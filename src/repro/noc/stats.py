@@ -17,24 +17,30 @@ class LatencyStats:
     """Per-packet latency accounting with warmup exclusion.
 
     Packets created during the warmup period are counted in the raw
-    ``received`` / ``received_flits`` totals but excluded from both the
-    latency sample and the ``measured_*`` counters that feed
-    :meth:`throughput` — latency and throughput therefore agree on the
-    measurement window.
+    ``received`` / ``received_flits`` totals but excluded from the
+    latency sample and the ``measured_*`` counters.  Throughput follows
+    Booksim's accepted rate instead: it counts the flits *ejected* from
+    warmup on (``accepted_flits``), whenever their packet was created,
+    so a saturated network's warmup backlog draining into the window
+    counts as the work it is.
     """
 
     warmup_cycles: int = 0
     latencies: list[int] = field(default_factory=list)
     received: int = 0
     received_flits: int = 0
-    #: Post-warmup packets/flits only — the measurement window's share.
+    #: Post-warmup packets/flits only — the latency sample's population.
     measured: int = 0
     measured_flits: int = 0
+    #: Flits whose packet's tail was ejected at or after warmup.
+    accepted_flits: int = 0
 
     def record(self, packet_create_cycle: int, tail_arrival_cycle: int,
                size_flits: int) -> None:
         self.received += 1
         self.received_flits += size_flits
+        if tail_arrival_cycle >= self.warmup_cycles:
+            self.accepted_flits += size_flits
         if packet_create_cycle >= self.warmup_cycles:
             self.latencies.append(tail_arrival_cycle - packet_create_cycle)
             self.measured += 1
@@ -58,13 +64,15 @@ class LatencyStats:
     def throughput(self, nodes: int, measured_cycles: int) -> float:
         """Accepted flits per node per cycle, over the measurement window.
 
-        Counts only flits of post-warmup packets — the same population
-        the latency statistics describe.  (Warmup-period flits used to
-        leak into this rate; see the regression test.)
+        Booksim's accepted rate: flits ejected from warmup on, divided
+        by ``nodes * measured_cycles``.  Flits ejected during warmup do
+        not count; flits of warmup-created packets ejected after it do.
+        The window closes when recording stops, so a caller that drains
+        the network must include the drain cycles in ``measured_cycles``.
         """
         if measured_cycles <= 0:
             return 0.0
-        return self.measured_flits / (nodes * measured_cycles)
+        return self.accepted_flits / (nodes * measured_cycles)
 
     def to_dict(self) -> dict:
         """JSON-ready snapshot of the latency statistics."""

@@ -4,7 +4,7 @@ Counters say *how many* ladder transitions or cache misses a run saw;
 the event log says *which*, *when*, and *why*.  Each record is a flat
 JSON-serializable dict with a fixed envelope::
 
-    {"v": 1, "seq": 0, "cycle": 120, "type": "ladder_transition",
+    {"v": 2, "seq": 0, "cycle": 120, "type": "ladder_transition",
      "tenant": "default", "request_id": 3, ...payload...}
 
 ``v`` is the schema version (:data:`EVENT_SCHEMA_VERSION`), ``seq`` a
@@ -32,7 +32,9 @@ from __future__ import annotations
 from collections import deque
 
 #: Version stamp carried by every record; bump on breaking layout change.
-EVENT_SCHEMA_VERSION = 1
+#: v2: ``partition_defer`` is emitted once per request, on its first
+#: deferral (v1 repeated it on every evaluation that passed it over).
+EVENT_SCHEMA_VERSION = 2
 
 #: Event type -> required payload fields (beyond the envelope).
 #: Emission validates against this table, so a written log is valid by

@@ -23,6 +23,7 @@ can safely accumulate into shared series.
 from __future__ import annotations
 
 import bisect
+import itertools
 import time
 from contextlib import contextmanager
 
@@ -106,11 +107,13 @@ class Gauge:
 class Histogram:
     """Fixed-bound bucketed distribution with count/sum/min/max."""
 
-    __slots__ = ("bounds", "bucket_counts", "count", "total",
-                 "min_seen", "max_seen")
+    __slots__ = ("bounds", "bucket_labels", "bucket_counts", "count",
+                 "total", "min_seen", "max_seen")
 
     def __init__(self, bounds: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         self.bounds = tuple(bounds)
+        #: Each bound's ``le`` label, formatted once, not per snapshot.
+        self.bucket_labels = tuple(f"{bound:g}" for bound in self.bounds)
         self.bucket_counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
@@ -133,11 +136,8 @@ class Histogram:
     def cumulative_buckets(self) -> dict[str, int]:
         """Prometheus-convention buckets: ``le`` upper bound -> count of
         observations at or below it, cumulative, ending at ``+Inf``."""
-        out: dict[str, int] = {}
-        running = 0
-        for bound, c in zip(self.bounds, self.bucket_counts):
-            running += c
-            out[f"{bound:g}"] = running
+        out = dict(zip(self.bucket_labels,
+                       itertools.accumulate(self.bucket_counts[:-1])))
         out["+Inf"] = self.count
         return out
 
@@ -340,18 +340,16 @@ class MetricsRegistry:
         ``wall_time=True`` — wall-clock sums would break the
         byte-identity of same-seed snapshots.
         """
-        out: dict = {"counters": {}, "gauges": {}, "histograms": {},
-                     "timers": {}}
-        for kind, key, _name, _labels, inst in self.iter_series():
-            if kind == "counter":
-                out["counters"][key] = inst.value
-            elif kind == "gauge":
-                out["gauges"][key] = inst.value
-            elif kind == "histogram":
-                out["histograms"][key] = inst.to_dict()
-            else:
-                out["timers"][key] = inst.to_dict(wall_time)
-        return out
+        counters, gauges = self._counters, self._gauges
+        histograms, timers = self._histograms, self._timers
+        return {
+            "counters": {k: counters[k].value for k in sorted(counters)},
+            "gauges": {k: gauges[k].value for k in sorted(gauges)},
+            "histograms": {k: histograms[k].to_dict()
+                           for k in sorted(histograms)},
+            "timers": {k: timers[k].to_dict(wall_time)
+                       for k in sorted(timers)},
+        }
 
 
 class NullMetricsRegistry(MetricsRegistry):

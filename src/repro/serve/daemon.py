@@ -153,6 +153,13 @@ class ServeConfig:
             object.__setattr__(self, "tenants", len(roster))
         if self.tenants < 1:
             raise ValueError(f"tenants must be >= 1, got {self.tenants}")
+        if self.rate < 0.0:
+            raise ValueError(f"rate must be >= 0, got {self.rate}")
+        if not 0.0 <= self.mvm_fraction <= 1.0:
+            raise ValueError(
+                f"mvm_fraction must be in [0, 1], got {self.mvm_fraction}")
+        if self.nodes < 2:
+            raise ValueError(f"need >= 2 nodes, got {self.nodes}")
         if self.batch_size < 1:
             raise ValueError(
                 f"batch_size must be >= 1, got {self.batch_size}")

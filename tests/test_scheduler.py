@@ -258,8 +258,9 @@ def reference_partitioner(sched: FlumenScheduler) -> None:
 
     Rebuilds port occupancy from the active partitions and retired ports
     for every queued request, and removes each granted request from the
-    buffer as it is granted.  Emits and counts exactly what
-    :meth:`FlumenScheduler._partitioner` must.
+    buffer as it is granted.  Every deferral is counted; only a
+    request's first one emits ``partition_defer``.  Emits and counts
+    exactly what :meth:`FlumenScheduler._partitioner` must.
     """
     control, network = sched.control, sched.control.network
 
@@ -284,14 +285,16 @@ def reference_partitioner(sched: FlumenScheduler) -> None:
         if placement is None:
             sched.stats.deferred_evaluations += 1
             sched._m_deferrals.inc()
-            sched._events.emit(
-                "partition_defer", sched.cycle, tenant=request.tenant,
-                request_id=request.request_id, reason="no_ports",
-                ports_needed=request.ports_needed)
-            sched._tracer.instant(
-                "core", "alg1", "partition_defer", sched.cycle,
-                request_id=request.request_id, reason="no_ports",
-                ports_needed=request.ports_needed)
+            if not request.deferred:
+                request.deferred = True
+                sched._events.emit(
+                    "partition_defer", sched.cycle, tenant=request.tenant,
+                    request_id=request.request_id, reason="no_ports",
+                    ports_needed=request.ports_needed)
+                sched._tracer.instant(
+                    "core", "alg1", "partition_defer", sched.cycle,
+                    request_id=request.request_id, reason="no_ports",
+                    ports_needed=request.ports_needed)
             continue
         lo, hi = placement
         endpoints = control.port_range_endpoints(lo, hi)
@@ -306,10 +309,12 @@ def reference_partitioner(sched: FlumenScheduler) -> None:
         if not granted:
             sched.stats.deferred_evaluations += 1
             sched._m_deferrals.inc()
-            sched._events.emit(
-                "partition_defer", sched.cycle, tenant=request.tenant,
-                request_id=request.request_id, reason="beta",
-                beta=round(beta, 6), eta=sched.cfg.eta)
+            if not request.deferred:
+                request.deferred = True
+                sched._events.emit(
+                    "partition_defer", sched.cycle, tenant=request.tenant,
+                    request_id=request.request_id, reason="beta",
+                    beta=round(beta, 6), eta=sched.cfg.eta)
             continue
         network.block_ports(endpoints)
         duration = (request.duration_override
@@ -343,18 +348,30 @@ def reference_partitioner(sched: FlumenScheduler) -> None:
 
 @st.composite
 def partitioner_cases(draw):
-    """One partitioner evaluation's starting state (8 fabric ports)."""
+    """One partitioner evaluation's starting state (8 fabric ports).
+
+    ``fill`` sometimes starts the evaluation on a full fabric (no two
+    adjacent free ports): ``"held"`` packs every free aligned pair with
+    an active partition, ``"split"`` retires every odd port.
+    """
     occupied: set[int] = set()
     active = []
-    for lo, size in draw(st.lists(
-            st.tuples(st.integers(0, 7), st.sampled_from((2, 4))),
-            max_size=3)):
+    fill = draw(st.sampled_from((None, None, "held", "split")))
+    spans = draw(st.lists(
+        st.tuples(st.integers(0, 7), st.sampled_from((2, 4))),
+        max_size=3))
+    if fill == "held":
+        spans = spans + [(lo, 2) for lo in range(0, 8, 2)]
+    for lo, size in spans:
         span = set(range(lo, lo + size))
         if lo + size <= 8 and not span & occupied:
             occupied |= span
             active.append((lo, lo + size))
     ladder = draw(st.none() | st.tuples(
         st.integers(2, 8), st.sets(st.integers(-2, 10), max_size=3)))
+    if fill == "split":
+        cap, retired = ladder or (8, set())
+        ladder = (cap, retired | {1, 3, 5, 7})
     return {
         "active": active,
         "ladder": ladder,
@@ -368,7 +385,9 @@ def partitioner_cases(draw):
             st.tuples(st.sampled_from((2, 4, 6, 8)),
                       st.integers(0, 40),
                       st.none() | st.integers(1, 50),
-                      st.sampled_from(("a", "b", "c"))),
+                      st.sampled_from(("a", "b", "c")),
+                      # Already deferred by an earlier evaluation.
+                      st.booleans()),
             max_size=40)),
     }
 
@@ -404,12 +423,14 @@ def build_partitioner_stack(case: dict) -> FlumenScheduler:
             comp.fabric_partition = fabric.split(lo, hi)
         net.block_ports(control.port_range_endpoints(lo, hi))
         sched.active.append(comp)
-    for i, (ports, submit_cycle, duration, tenant) in \
+    for i, (ports, submit_cycle, duration, tenant, deferred) in \
             enumerate(case["requests"]):
-        control.compute_buffer.append(ComputeRequest(
+        request = ComputeRequest(
             node=i % 16, plan=small_plan(), matrix_key=f"m{i}",
             submit_cycle=submit_cycle, ports_needed=ports,
-            duration_override=duration, tenant=tenant, request_id=i))
+            duration_override=duration, tenant=tenant, request_id=i)
+        request.deferred = deferred
+        control.compute_buffer.append(request)
     return sched
 
 
@@ -423,7 +444,8 @@ def partitioner_outcome(sched: FlumenScheduler) -> dict:
         "trace": list(obs.tracer.events),
         "stats": sched.stats.to_dict(),
         "metrics": obs.metrics.to_dict(),
-        "buffer": [r.request_id for r in sched.control.compute_buffer],
+        "buffer": [(r.request_id, r.deferred)
+                   for r in sched.control.compute_buffer],
         "blocked": sorted(sched.control.network.blocked_ports),
         "fabric": (None if sched.fabric is None else
                    [(p.lo, p.hi, p.kind.name)
@@ -453,8 +475,9 @@ def test_partitioner_grants_several_per_evaluation():
     retired and 12 is out of range)."""
     case = {"active": [(2, 4)], "ladder": (8, {6, 12}), "fabric": True,
             "eta": 1.0, "zeta": 0.5, "backlog": [0] * 16,
-            "requests": [(2, 0, 5, "a"), (4, 0, 5, "b"), (2, 0, 5, "a"),
-                         (2, 0, 5, "c"), (2, 0, 5, "b")]}
+            "requests": [(2, 0, 5, "a", False), (4, 0, 5, "b", False),
+                         (2, 0, 5, "a", False), (2, 0, 5, "c", False),
+                         (2, 0, 5, "b", False)]}
     fast = build_partitioner_stack(case)
     fast._partitioner()
     oracle = build_partitioner_stack(case)
@@ -465,6 +488,45 @@ def test_partitioner_grants_several_per_evaluation():
     assert [r.request_id for r in fast.control.compute_buffer] == [1, 3, 4]
 
 
+def test_partition_defer_emitted_once_per_request():
+    """A request passed over at k >= 3 evaluations logs one
+    ``partition_defer`` (and one trace instant), at its first deferral,
+    then one ``partition_grant`` whose ``wait_cycles`` spans the whole
+    wait; the deferral counter still counts every evaluation."""
+    system = SystemConfig().replace(scheduler=SchedulerConfig(
+        tau_cycles=10, eta=1.0, zeta=0.5))
+    obs = Obs.active()
+    control = MZIMControlUnit(FlumenNetwork(16), system, obs=obs)
+    sched = FlumenScheduler(control, system, obs=obs)
+    control.matrix_memory.store("m", BlockMatmul(np.eye(8), 8))
+
+    def request(ports, submit_cycle, duration):
+        return ComputeRequest(node=0, plan=small_plan(), matrix_key="m",
+                              submit_cycle=submit_cycle, ports_needed=ports,
+                              duration_override=duration)
+
+    holder = request(8, 0, 45)  # the whole fabric, granted at cycle 0
+    control.submit(holder, 0)
+    sched.run(5)
+    waiter = request(4, 5, 5)
+    control.submit(waiter, 5)
+    sched.run(100)
+
+    defers = [e for e in obs.events.events
+              if e["type"] == "partition_defer"]
+    grant, = [e for e in obs.events.events
+              if e["type"] == "partition_grant"
+              and e["request_id"] == waiter.request_id]
+    # Deferred at the evaluations of cycles 10, 20, 30 and 40.
+    assert (sched.stats.deferred_evaluations, grant["cycle"]) == (4, 50)
+    assert [(e["request_id"], e["cycle"], e["reason"]) for e in defers] \
+        == [(waiter.request_id, 10, "no_ports")]
+    assert [(i["ts"], i["args"]["request_id"]) for i in obs.tracer.events
+            if i["name"] == "partition_defer"] == [(10, waiter.request_id)]
+    assert grant["wait_cycles"] == grant["cycle"] - waiter.submit_cycle
+    assert waiter.deferred and not holder.deferred
+
+
 # ---------------------------------------------------------------------------
 # Tier-1 pin of the saturated serve path
 
@@ -472,7 +534,9 @@ def test_partitioner_grants_several_per_evaluation():
 def test_saturated_serve_session_pinned():
     """A seeded 12-tenant, rate-0.2, 90%-MVM session: the long-backlog
     regime where every tau evaluation rescans hundreds of requests.
-    The pinned values predate the incremental partitioner."""
+    The stats predate the incremental partitioner; the event counts
+    and report digest are event schema v2's (one ``partition_defer``
+    per deferred request, so the report's event total moved)."""
     daemon = ServeDaemon(ServeConfig(tenants=12, rate=0.2,
                                      mvm_fraction=0.9, duration=1024,
                                      seed=1))
@@ -484,7 +548,7 @@ def test_saturated_serve_session_pinned():
         "average_wait": 2174.195238095238}
     assert Counter(e["type"] for e in daemon.obs.events.events) == {
         "admission_reject": 704, "mvm_flush": 120,
-        "partition_complete": 210, "partition_defer": 4457,
+        "partition_complete": 210, "partition_defer": 206,
         "partition_grant": 210, "serve_transition": 3}
     assert hashlib.sha256(canonical_json(report).encode()).hexdigest() \
-        == "598c9782240391ea4589a7889b1e047cac0f1bb27f70d5b64f55042b5f0c2128"
+        == "1aeb21c529ceaac60502508ecab8b128ce9e69848474d0b86dd4b172b834d577"

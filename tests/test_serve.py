@@ -159,6 +159,20 @@ class TestServeConfigValidation:
         with pytest.raises(ValueError, match="16 ports"):
             ServeConfig(ports=64)
 
+    def test_rate_must_be_non_negative(self):
+        assert ServeConfig(rate=0.0).rate == 0.0
+        with pytest.raises(ValueError, match="rate must be >= 0"):
+            ServeConfig(rate=-1.0)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_mvm_fraction_in_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match=r"mvm_fraction must be in"):
+            ServeConfig(mvm_fraction=fraction)
+
+    def test_at_least_two_nodes(self):
+        with pytest.raises(ValueError, match="need >= 2 nodes, got 1"):
+            ServeConfig(nodes=1)
+
     def test_unknown_names_list_the_registry(self):
         with pytest.raises(ValueError, match="known: .*'poisson'"):
             ServeConfig(arrival="tsunami")
@@ -347,7 +361,10 @@ class TestServeCLI:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [["--admission-burst", "0"],
-                                      ["--ports", "64"]])
+                                      ["--ports", "64"],
+                                      ["--rate", "-1"],
+                                      ["--mvm-fraction", "1.5"],
+                                      ["--nodes", "1"]])
     def test_serve_bad_config_exits_2(self, argv, caplog, capsys):
         assert main(["serve", *argv]) == 2
         assert "serve:" in caplog.text

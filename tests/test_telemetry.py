@@ -188,6 +188,17 @@ class TestEventExport:
         problems = load_and_validate_events(path)
         assert any("schema version" in p for p in problems)
 
+    def test_v1_record_rejected(self, tmp_path):
+        # v1 logs repeat partition_defer on every evaluation; a v2
+        # reader must not count them as v2 facts.
+        log = sample_log()
+        log.events[0]["v"] = 1
+        path = write_event_log(tmp_path / "events.jsonl", log)
+        assert load_and_validate_events(path) == [
+            f"event[0] has unknown schema version 1 (expected "
+            f"{EVENT_SCHEMA_VERSION})"]
+        assert EVENT_SCHEMA_VERSION == 2
+
     def test_non_monotonic_cycles_reported(self):
         records = [e.copy() for e in sample_log().events]
         records[2]["cycle"] = 5  # earlier than record 1's cycle 12
